@@ -22,6 +22,7 @@ simulated.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -167,6 +168,30 @@ def find_M0(
 # ======================================================================
 
 
+_NUMBER = (int, float, Fraction)
+_PHASE_KEYS = (("i", int), ("length", int), ("a", _NUMBER), ("threshold", _NUMBER))
+
+
+def _field(doc, key: str, kind, where: str = "schedule"):
+    """doc[key] checked against `kind`; numbers may be "p/q" strings.
+
+    Raises ValueError naming the key when it is missing or mistyped.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} is missing key {key!r}")
+    value = doc[key]
+    if kind is _NUMBER and isinstance(value, str):
+        try:
+            value = _decode_number(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} key {key!r} has the wrong type: {doc[key]!r}")
+    return value
+
+
 @dataclass
 class PhaseSchedule:
     """Per-phase lengths, adaptation values, and success thresholds.
@@ -273,14 +298,12 @@ class PhaseSchedule:
     def phase_of_step(self, n: int) -> int:
         if n < 0:
             raise ValueError("step index must be >= 0")
-        cache = self._N_cache
-        i = 1
-        while True:
+        while self._N_cache[-1] <= n:
+            i = len(self._N_cache)
             if self.n_phases is not None and i > self.n_phases:
                 raise ValueError(f"step {n} lies beyond the last defined phase")
-            if n < self.N(i):
-                return i
-            i += 1
+            self.N(i)
+        return bisect.bisect_right(self._N_cache, n)
 
     def a_of_step(self, n: int) -> Number:
         return self.a_of_phase(self.phase_of_step(n))
@@ -314,21 +337,31 @@ class PhaseSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "PhaseSchedule":
+        """Parse a schedule document; a missing or mistyped key raises a
+        ValueError that names it."""
         doc = json.loads(text)
-        profile = ConstantsProfile.from_json(json.dumps(doc["profile"]))
-        common = dict(
-            profile=profile,
-            sigma=_decode_number(doc.get("sigma")),
-            sigma_phase1=_decode_number(doc.get("sigma_phase1")),
-        )
-        if doc["mode"] == PAPER_LITERAL:
-            return cls(mode=PAPER_LITERAL, M=doc["M"], M0=doc["M0"], **common)
-        phases = sorted(doc["phases"], key=lambda row: row["i"])
+        mode = _field(doc, "mode", str)
+        profile = ConstantsProfile.from_json(json.dumps(_field(doc, "profile", dict)))
+        common = {
+            key: None if doc.get(key) is None else _field(doc, key, _NUMBER)
+            for key in ("sigma", "sigma_phase1")
+        }
+        if mode == PAPER_LITERAL:
+            M, M0 = _field(doc, "M", int), _field(doc, "M0", int)
+            return cls(mode=PAPER_LITERAL, profile=profile, M=M, M0=M0, **common)
+        if mode != USER_DESIGNED:
+            raise ValueError(f"unknown mode {mode!r}")
+        phases = [
+            {key: _field(row, key, kind, f"phases[{k}]") for key, kind in _PHASE_KEYS}
+            for k, row in enumerate(_field(doc, "phases", list))
+        ]
+        phases.sort(key=lambda row: row["i"])
         return cls(
             mode=USER_DESIGNED,
             lengths=[row["length"] for row in phases],
-            a_values=[_decode_number(row["a"]) for row in phases],
-            thresholds=[_decode_number(row["threshold"]) for row in phases],
+            a_values=[row["a"] for row in phases],
+            thresholds=[row["threshold"] for row in phases],
+            profile=profile,
             **common,
         )
 

@@ -8,10 +8,17 @@ independent of batching, execution order, and thread count; replications
 are partitioned into fixed-size chunks and aggregated by exact integer
 sums, which commute.
 
-The walk itself is advanced vectorized across a chunk of replications: at
-every step each live replication maps one uniform through the inverse CDF
-of its current three-point step law (atom order -1 < 0 < 1, matching the
-monotone coupling construction).
+One step engine, `_walk`, drives every entry point.  It advances a chunk
+of replications, vectorized, through a list of segments.  A segment is a
+number of steps at either a constant adaptation value a, whose step laws
+are read from one lookup table per distinct a, or under a rule a(n)
+evaluated at every absolute step n.  Step n consumes uniform column n
+(draw #n of every stream) and maps it through the inverse CDF of the
+current three-point step law (atom order -1 < 0 < 1, matching the
+monotone coupling construction); the coupling check draws its dominated
+variable Z from the same uniform through the same inverse CDF.  Callers
+only observe between steps: phase outcomes and checkpoints, phase minima
+and Z sums, down steps, tail occupancy.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -75,114 +83,99 @@ class _UniformFeed:
         return u
 
 
-class PlanPhase(NamedTuple):
-    i: int
+class Segment(NamedTuple):
+    """`length` steps at a constant adaptation value `a`, or under a rule
+    `a(n)` of the absolute step index n (counted from 0)."""
+
     length: int
-    a: float
-    threshold: float
-    strict: bool
+    a: float | Callable[[int], float]
 
 
-def _phase_plan(schedule, max_phase: int) -> list[PlanPhase]:
+def _inverse_cdf(u: np.ndarray, p_down, p_up) -> np.ndarray:
+    """Map uniforms through the CDF of the atoms -1 < 0 < +1 with
+    P(-1) = p_down and P(+1) = p_up."""
+    return (u >= 1.0 - p_up).astype(np.int64) - (u < p_down).astype(np.int64)
+
+
+def _walk(seeds: Sequence[int], segments: Sequence[Segment], s: np.ndarray,
+          move: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Advance positions `s` in place through `segments`, one step per
+    uniform column, yielding each step's (uniforms, unmasked increments)
+    after `s` has moved.
+
+    `move`, when given, masks every increment; callers may update it in
+    place between steps (early stop clears it after a failed phase).
+    """
+    feed = _UniformFeed(seeds)
+    s_max = sum(seg.length for seg in segments)
+    tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    n0 = 0
+    for seg in segments:
+        rule = seg.a if callable(seg.a) else None
+        if rule is None:
+            if seg.a not in tables:
+                tables[seg.a] = step_prob_tables(s_max, seg.a)
+            p_down_tab, p_up_tab = tables[seg.a]
+        for n in range(n0, n0 + seg.length):
+            u = feed.next_column()
+            if rule is None:
+                ds = _inverse_cdf(u, p_down_tab[s], p_up_tab[s])
+            else:
+                ds = _inverse_cdf(u, *flat_step_probs_at(s, rule(n)))
+            s += ds if move is None else ds * move
+            yield u, ds
+        n0 += seg.length
+
+
+def _advance(steps: Iterator, count: int) -> None:
+    """Take `count` steps from a walk without observing them."""
+    for _ in islice(steps, count):
+        pass
+
+
+def _phase_plan(schedule, max_phase: int):
+    """Segments of phases 1..max_phase and each phase's success test
+    (threshold T_i, strict comparison)."""
     if max_phase < 1:
         raise ValueError("max_phase must be >= 1")
-    return [
-        PlanPhase(
-            i=i,
-            length=schedule.length(i),
-            a=float(schedule.a_of_phase(i)),
-            threshold=float(schedule.threshold(i)),
-            strict=schedule.strict_threshold(i),
-        )
-        for i in range(1, max_phase + 1)
-    ]
+    phases = range(1, max_phase + 1)
+    segments = [Segment(schedule.length(i), float(schedule.a_of_phase(i))) for i in phases]
+    tests = [(float(schedule.threshold(i)), schedule.strict_threshold(i)) for i in phases]
+    return segments, tests
 
 
-def _simulate_chunk(
-    seeds: Sequence[int],
-    plan: Sequence[PlanPhase],
-    early_stop: bool = True,
-    record_checkpoints: bool = False,
-    track_phase_min: bool = False,
-    z_laws: dict[int, tuple[float, float]] | None = None,
-):
-    """Run one chunk of replications through the phase plan.
+def _phase_chunk(seeds, segments, tests, early_stop: bool):
+    """Per-phase outcomes (phase x replication) and S at every phase end.
 
-    Returns raw per-chunk aggregates; see run_experiment for their meaning.
+    Outcome k compares S_{N_k} with T_k; with early_stop a replication
+    stops moving after its first failed phase.
     """
-    B = len(seeds)
-    feed = _UniformFeed(seeds)
-    s_max = sum(p.length for p in plan)
-    tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for p in plan:
-        if p.a not in tables:
-            tables[p.a] = step_prob_tables(s_max, p.a)
-
-    s = np.zeros(B, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
-    attempts, successes = [], []
-    outcomes = np.zeros((len(plan), B), dtype=bool)
-    checkpoints = [] if record_checkpoints else None
-    phase_mins = [] if track_phase_min else None
-    z_sums = {} if z_laws else None
-
-    for k, phase in enumerate(plan):
-        p_down_tab, p_up_tab = tables[phase.a]
-        move = alive.astype(np.int64) if early_stop else np.ones(B, dtype=np.int64)
-        z_cb = z_laws.get(phase.i) if z_laws else None
-        if z_cb is not None:
-            z_sum = np.zeros(B, dtype=np.int64)
-        if track_phase_min:
-            p_min = s.copy()
-
-        for _ in range(phase.length):
-            u = feed.next_column()
-            if track_phase_min:
-                np.minimum(p_min, s, out=p_min)
-            p_down = p_down_tab[s]
-            p_up = p_up_tab[s]
-            ds = (u >= 1.0 - p_up).astype(np.int64) - (u < p_down).astype(np.int64)
-            s += ds * move
-            if z_cb is not None:
-                c, b = z_cb
-                z_sum += (u >= 1.0 - b).astype(np.int64) - (u < c).astype(np.int64)
-
-        ok = s > phase.threshold if phase.strict else s >= phase.threshold
-        attempts.append(int(alive.sum()))
-        successes.append(int((alive & ok).sum()))
-        outcomes[k] = ok
-        alive &= ok
-        if record_checkpoints:
-            checkpoints.append(s.copy())
-        if track_phase_min:
-            phase_mins.append(p_min)
-        if z_cb is not None:
-            z_sums[phase.i] = z_sum
-
-    return {
-        "final_s": s,
-        "attempts": attempts,
-        "successes": successes,
-        "outcomes": outcomes,
-        "checkpoints": checkpoints,
-        "phase_mins": phase_mins,
-        "z_sums": z_sums,
-    }
+    s = np.zeros(len(seeds), dtype=np.int64)
+    alive = np.ones(len(seeds), dtype=bool)
+    steps = _walk(seeds, segments, s, alive if early_stop else None)
+    outcomes = np.zeros((len(segments), len(seeds)), dtype=bool)
+    checkpoints = []
+    for k, (seg, (t, strict)) in enumerate(zip(segments, tests)):
+        _advance(steps, seg.length)
+        outcomes[k] = s > t if strict else s >= t
+        alive &= outcomes[k]
+        checkpoints.append(s.copy())
+    return outcomes, checkpoints
 
 
-def _chunk_ranges(replications: int):
-    return [(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
+def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | None):
+    """Run fn(seeds) over the fixed chunks of replications; ordered results."""
+    def chunk(lo):
+        hi = min(lo + _CHUNK, replications)
+        return fn([replication_seed(base_seed, r) for r in range(lo, hi)])
 
-
-def _run_chunks(fn: Callable, replications: int, threads: int | None):
-    """Run fn(lo, hi) over fixed chunk ranges; ordered results."""
-    ranges = _chunk_ranges(replications)
+    ranges = range(0, replications, _CHUNK)
     workers = threads if threads is not None else (os.cpu_count() or 1)
     workers = max(1, min(int(workers), len(ranges)))
     if workers == 1:
-        return [fn(lo, hi) for lo, hi in ranges]
+        return [chunk(lo) for lo in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda rng: fn(*rng), ranges))
+        return list(pool.map(chunk, ranges))
 
 
 # ======================================================================
@@ -218,16 +211,13 @@ def run_replication(
     With early_stop (the default) the walk freezes at the end of the first
     failed phase; later checkpoints then record the frozen position.
     """
-    plan = _phase_plan(schedule, max_phase)
-    out = _simulate_chunk(
-        [seed], plan, early_stop=early_stop, record_checkpoints=True
-    )
-    n_groups = [schedule.N(i) for i in range(1, max_phase + 1)]
+    segments, tests = _phase_plan(schedule, max_phase)
+    outcomes, checkpoints = _phase_chunk([seed], segments, tests, early_stop)
     return Trajectory(
         seed=seed,
-        checkpoints=[(n, int(cp[0])) for n, cp in zip(n_groups, out["checkpoints"])],
-        phase_outcomes=[bool(v) for v in out["outcomes"][:, 0]],
-        final_s=int(out["final_s"][0]),
+        checkpoints=[(schedule.N(i), int(cp[0])) for i, cp in enumerate(checkpoints, 1)],
+        phase_outcomes=[bool(v) for v in outcomes[:, 0]],
+        final_s=int(checkpoints[-1][0]),
     )
 
 
@@ -316,20 +306,16 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    plan = _phase_plan(schedule, max_phase)
+    segments, tests = _phase_plan(schedule, max_phase)
 
-    def job(lo, hi):
-        seeds = [replication_seed(base_seed, r) for r in range(lo, hi)]
-        out = _simulate_chunk(seeds, plan, early_stop=early_stop)
-        return out["attempts"], out["successes"]
+    def job(seeds):
+        outcomes, _ = _phase_chunk(seeds, segments, tests, early_stop)
+        return np.logical_and.accumulate(outcomes).sum(axis=1)
 
-    results = _run_chunks(job, replications, threads)
-    attempts = [0] * max_phase
-    successes = [0] * max_phase
-    for att, suc in results:
-        for k in range(max_phase):
-            attempts[k] += att[k]
-            successes[k] += suc[k]
+    # successes of phase i are the attempts of phase i + 1
+    chunks = _run_chunks(job, replications, base_seed, threads)
+    successes = [int(v) for v in np.sum(chunks, axis=0)]
+    attempts = [replications] + successes[:-1]
 
     per_phase = []
     for k in range(max_phase):
@@ -389,19 +375,16 @@ def final_positions(
     covered, i = 0, 1
     while covered < horizon:
         take = min(schedule.length(i), horizon - covered)
-        segments.append(
-            PlanPhase(i=i, length=take, a=float(schedule.a_of_phase(i)),
-                      threshold=-1.0, strict=False)
-        )
+        segments.append(Segment(take, float(schedule.a_of_phase(i))))
         covered += take
         i += 1
 
-    def job(lo, hi):
-        seeds = [replication_seed(base_seed, r) for r in range(lo, hi)]
-        out = _simulate_chunk(seeds, segments, early_stop=False)
-        return out["final_s"]
+    def job(seeds):
+        s = np.zeros(len(seeds), dtype=np.int64)
+        _advance(_walk(seeds, segments, s), horizon)
+        return s
 
-    parts = _run_chunks(job, replications, threads)
+    parts = _run_chunks(job, replications, base_seed, threads)
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -461,81 +444,55 @@ def run_control(
         if a < 8:
             raise ValueError("constant mode needs a >= 8")
 
-        def job(lo, hi):
-            seeds = [replication_seed(base_seed, r) for r in range(lo, hi)]
-            feed = _UniformFeed(seeds)
-            p_down_tab, p_up_tab = step_prob_tables(horizon, a)
-            s = np.zeros(hi - lo, dtype=np.int64)
-            decreased = np.zeros(hi - lo, dtype=bool)
-            for _ in range(horizon):
-                u = feed.next_column()
-                ds = (u >= 1.0 - p_up_tab[s]).astype(np.int64) - (
-                    u < p_down_tab[s]
-                ).astype(np.int64)
+        def job(seeds):
+            s = np.zeros(len(seeds), dtype=np.int64)
+            decreased = np.zeros(len(seeds), dtype=bool)
+            for _, ds in _walk(seeds, [Segment(horizon, a)], s):
                 decreased |= ds < 0
-                s += ds
             return s, decreased
 
-        parts = _run_chunks(job, replications, threads)
-        final = np.concatenate([p[0] for p in parts])
-        decreased = np.concatenate([p[1] for p in parts])
-        return ControlSummary(
-            mode=mode,
-            horizon=horizon,
-            replications=replications,
-            base_seed=base_seed,
-            a=a,
-            drift=float(final.mean()) / horizon,
-            final_quantiles={
-                str(q): float(np.quantile(final, q)) for q in _QUANTILES
-            },
-            nondecreasing_fraction=float(1.0 - decreased.mean()),
-        )
-
-    if mode == "fast-growth":
+    elif mode == "fast-growth":
         rule = growth if growth is not None else (lambda n: float(n * n + 8))
-        tail_start = int(horizon * (1.0 - tail_fraction))
+        tail_start = max(0, int(horizon * (1.0 - tail_fraction)))
 
-        def job(lo, hi):
-            seeds = [replication_seed(base_seed, r) for r in range(lo, hi)]
-            feed = _UniformFeed(seeds)
-            s = np.zeros(hi - lo, dtype=np.int64)
+        def job(seeds):
+            s = np.zeros(len(seeds), dtype=np.int64)
             hist = np.zeros(horizon + 2, dtype=np.int64)
             low = 0
-            for n in range(horizon):
-                u = feed.next_column()
-                p_down, p_up = flat_step_probs_at(s, rule(n))
-                ds = (u >= 1.0 - p_up).astype(np.int64) - (u < p_down).astype(
-                    np.int64
-                )
-                s += ds
-                if n >= tail_start:
-                    hist += np.bincount(s, minlength=horizon + 2)
-                    low += int((s <= low_threshold).sum())
+            steps = _walk(seeds, [Segment(horizon, rule)], s)
+            _advance(steps, tail_start)
+            for _ in steps:
+                hist += np.bincount(s, minlength=horizon + 2)
+                low += int((s <= low_threshold).sum())
             return s, hist, low
 
-        parts = _run_chunks(job, replications, threads)
-        final = np.concatenate([p[0] for p in parts])
-        hist = sum(p[1] for p in parts)
-        low = sum(p[2] for p in parts)
-        tail_steps = int(hist.sum())
-        support = int(np.nonzero(hist)[0].max()) if hist.any() else 0
-        return ControlSummary(
-            mode=mode,
-            horizon=horizon,
-            replications=replications,
-            base_seed=base_seed,
-            growth_rule=growth_label,
-            drift=float(final.mean()) / horizon,
-            final_quantiles={
-                str(q): float(np.quantile(final, q)) for q in _QUANTILES
-            },
-            occupancy_mode=int(np.argmax(hist)),
-            low_state_fraction=low / tail_steps if tail_steps else None,
-            tail_histogram=[int(v) for v in hist[: support + 1]],
-        )
+    else:
+        raise ValueError(f"unknown control mode {mode!r}")
 
-    raise ValueError(f"unknown control mode {mode!r}")
+    parts = _run_chunks(job, replications, base_seed, threads)
+    final = np.concatenate([p[0] for p in parts])
+    summary = ControlSummary(
+        mode=mode,
+        horizon=horizon,
+        replications=replications,
+        base_seed=base_seed,
+        drift=float(final.mean()) / horizon,
+        final_quantiles={str(q): float(np.quantile(final, q)) for q in _QUANTILES},
+    )
+    if mode == "constant":
+        summary.a = a
+        decreased = np.concatenate([p[1] for p in parts])
+        summary.nondecreasing_fraction = float(1.0 - decreased.mean())
+        return summary
+    hist = sum(p[1] for p in parts)
+    tail_steps = int(hist.sum())
+    support = int(np.nonzero(hist)[0].max()) if hist.any() else 0
+    summary.growth_rule = growth_label
+    summary.occupancy_mode = int(np.argmax(hist))
+    low = sum(p[2] for p in parts)
+    summary.low_state_fraction = low / tail_steps if tail_steps else None
+    summary.tail_histogram = [int(v) for v in hist[: support + 1]]
+    return summary
 
 
 # ======================================================================
@@ -574,30 +531,28 @@ def run_coupled_check(
     """
     if max_phase < 2:
         raise ValueError("the coupling check needs max_phase >= 2")
-    plan = _phase_plan(schedule, max_phase)
-    z_laws = {}
-    for i in range(2, max_phase + 1):
-        z = z_distribution(i, schedule)
-        z_laws[i] = (float(z.c), float(z.b))
+    segments, _ = _phase_plan(schedule, max_phase)
+    z_laws = [z_distribution(i, schedule) for i in range(2, max_phase + 1)]
 
-    def job(lo, hi):
-        seeds = [replication_seed(base_seed, r) for r in range(lo, hi)]
-        out = _simulate_chunk(
-            seeds, plan, early_stop=False, record_checkpoints=True,
-            track_phase_min=True, z_laws=z_laws,
-        )
+    def job(seeds):
+        s = np.zeros(len(seeds), dtype=np.int64)
+        steps = _walk(seeds, segments, s)
+        _advance(steps, segments[0].length)
         checked = violations = 0
-        for k in range(1, max_phase):  # phases 2..max_phase
-            i = k + 1
-            start = out["checkpoints"][k - 1]
-            end = out["checkpoints"][k]
-            valid = out["phase_mins"][k] >= 2 * i - 3  # x >= i throughout
-            gain = end[valid] - start[valid]
+        for i, (seg, z) in enumerate(zip(segments[1:], z_laws), 2):
+            c, b = float(z.c), float(z.b)
+            start, phase_min = s.copy(), s.copy()
+            z_sum = np.zeros(len(seeds), dtype=np.int64)
+            for _ in range(seg.length):
+                np.minimum(phase_min, s, out=phase_min)
+                u, _ = next(steps)
+                z_sum += _inverse_cdf(u, c, b)
+            valid = phase_min >= 2 * i - 3  # x >= i throughout
             checked += int(valid.sum())
-            violations += int((gain < out["z_sums"][i][valid]).sum())
+            violations += int((s - start < z_sum)[valid].sum())
         return checked, violations
 
-    results = _run_chunks(job, replications, threads)
+    results = _run_chunks(job, replications, base_seed, threads)
     return CoupledCheckReport(
         max_phase=max_phase,
         replications=replications,

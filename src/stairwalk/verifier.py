@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import PAPER_LITERAL
-from .domination import domination_margins, mean_z, z_distribution
+from .domination import dominated_drift, domination_margins, mean_z, z_distribution
 from .kernel import flat_step_distribution, monotonicity_violation
 
 HOLDS = "holds"
@@ -148,13 +148,6 @@ def check_c1(schedule, i_max: int) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def _drift_lhs(i: int, a: Fraction) -> Fraction:
-    d = i * i + (i - 1) * (i - 1)
-    return (Fraction(1, 2) + 4 / a) * Fraction((i - 1) ** 2, d) - (
-        Fraction(1, 2) - 4 / a
-    ) * Fraction(i * i, d)
-
-
 def _drift_sweep(schedule, i_max: int) -> dict:
     """Exact per-phase left sides and means, plus all boundary indices."""
     target = _frac(schedule.profile.drift_target)
@@ -170,7 +163,7 @@ def _drift_sweep(schedule, i_max: int) -> dict:
     consistent = True
     for i in range(2, i_max + 1):
         a = _frac(schedule.a_of_phase(i))
-        lhs = _drift_lhs(i, a)
+        lhs = dominated_drift(i, a, 0)  # the C2 left side: b_i - c_i at zero slack
         mean = lhs - 2 * slack  # == E(Z_i) by construction
         if lhs > target:
             c2_hold_count += 1

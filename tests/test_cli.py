@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,9 +176,29 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
-def test_usage_errors():
+def test_usage_errors(user_file, tmp_path, capsys):
     assert main(["schedule", "--sigma", "1.5"]) == 1       # invalid sigma
     assert main(["audit", "--schedule", "/nonexistent.json"]) == 1
+    # malformed schedule files: one error line naming the bad key, no traceback
+    good = json.loads(Path(user_file).read_text())
+    bad_row = dict(good, phases=[dict(good["phases"][0], length="60")])
+    cases = {
+        "{}": "'mode'",
+        '{"mode": "paper-literal"}': "'profile'",
+        '{"mode": "user-designed"}': "'profile'",
+        "[1, 2]": "JSON object",
+        json.dumps(dict(good, mode="paper-literal")): "'M'",
+        json.dumps({k: v for k, v in good.items() if k != "phases"}): "'phases'",
+        json.dumps(bad_row): "'length'",
+        json.dumps(dict(good, phases=[1])): "phases[0]",
+    }
+    capsys.readouterr()
+    for text, key in cases.items():
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", "--schedule", str(path), "--phases", "1", "--reps", "10"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1

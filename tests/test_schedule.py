@@ -168,6 +168,16 @@ def test_step_indexing(paper_schedule):
     assert all(b > a for a, b in zip(ns, ns[1:]))
 
 
+def test_phase_of_step_boundaries():
+    s = user_schedule(scaled_profile(), lengths=[3, 1, 2],
+                      a_values=[8.0, 9.0, 9.0], thresholds=[1, 2, 3])
+    assert [s.phase_of_step(n) for n in range(6)] == [1, 1, 1, 2, 3, 3]
+    with pytest.raises(ValueError, match="beyond the last defined phase"):
+        s.phase_of_step(6)
+    with pytest.raises(ValueError):
+        s.phase_of_step(-1)
+
+
 def test_schedule_json_round_trip(paper_schedule, cond_schedule):
     for sched in (paper_schedule, cond_schedule):
         back = PhaseSchedule.from_json(sched.to_json())

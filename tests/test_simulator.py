@@ -12,7 +12,9 @@ from stairwalk import (
     run_coupled_check,
     run_experiment,
     run_replication,
+    scaled_profile,
     steady_drift_schedule,
+    user_schedule,
     wilson_interval,
 )
 
@@ -119,6 +121,55 @@ def test_final_positions_thread_invariant(scaled_schedule):
     a = final_positions(scaled_schedule, 50, 200, SEED, threads=1)
     b = final_positions(scaled_schedule, 50, 200, SEED, threads=3)
     np.testing.assert_array_equal(a, b)
+
+
+def test_golden_streams():
+    """Literal outputs pinned per (base_seed, r): any change to the random
+    streams, the step inversion or the phase bookkeeping fails here."""
+    sch = user_schedule(scaled_profile(), lengths=[60, 40, 40],
+                        a_values=[8.0, 9.0, 10.0], thresholds=[25, 42, 58])
+
+    def traj(r, early_stop):
+        t = run_replication(sch, 3, replication_seed(SEED, r), early_stop=early_stop)
+        return [s for _, s in t.checkpoints], t.phase_outcomes, t.final_s
+
+    T, F = True, False
+    assert traj(0, T) == traj(0, F) == ([26, 43, 59], [T, T, T], 59)
+    assert traj(1, T) == ([23, 23, 23], [F, F, F], 23)
+    assert traj(1, F) == ([23, 41, 53], [F, F, F], 53)
+    assert traj(4, T) == ([24, 24, 24], [F, F, F], 24)
+    assert traj(4, F) == ([24, 48, 67], [F, T, T], 67)
+    assert traj(5, T) == traj(5, F) == ([27, 45, 57], [T, T, F], 57)
+    assert run_replication(sch, 3, replication_seed(SEED, 2)).checkpoints == [
+        (60, 18), (100, 18), (140, 18)]
+
+    for early_stop in (True, False):
+        res = run_experiment(sch, 3, 300, SEED, early_stop=early_stop)
+        assert [(p.attempts, p.successes) for p in res.per_phase] == [
+            (300, 158), (158, 140), (140, 113)]
+
+    assert final_positions(sch, 0, 300, SEED).tolist() == [0] * 300
+    fin = final_positions(sch, 85, 300, SEED)  # ends 25 steps into phase 2
+    assert int(fin.sum()) == 11099
+    assert fin[:8].tolist() == [38, 34, 25, 43, 39, 39, 38, 30]
+
+    const = run_control("constant", 200, 50, SEED, a=20.0).to_jsonable()
+    assert const["drift"] == 0.141
+    assert const["final_quantiles"] == {
+        "0.01": 1.98, "0.25": 19.5, "0.5": 28.0, "0.75": 39.0,
+        "0.99": 54.03999999999999}
+    assert const["nondecreasing_fraction"] == 0.0
+    fast = run_control("fast-growth", 200, 50, SEED).to_jsonable()
+    assert fast["drift"] == 0.0101
+    assert fast["final_quantiles"] == {
+        "0.01": 0.0, "0.25": 0.0, "0.5": 1.0, "0.75": 3.0,
+        "0.99": 11.529999999999994}
+    assert (fast["occupancy_mode"], fast["low_state_fraction"]) == (0, 0.8622)
+    assert fast["tail_histogram"] == [
+        1709, 1574, 412, 445, 171, 200, 97, 74, 50, 58, 59, 62, 30, 29, 14, 14, 2]
+
+    report = run_coupled_check(sch, 3, 300, SEED)
+    assert (report.pairs_checked, report.violations) == (600, 0)
 
 
 def test_wilson_interval_against_external_values():

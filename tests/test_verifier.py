@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from stairwalk import audit_all, audit_single, mean_z, steady_drift_schedule
-from stairwalk.verifier import ClaimResult, _drift_lhs
+from stairwalk.domination import dominated_drift
+from stairwalk.verifier import ClaimResult
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def test_c2_witness_is_exact(report, paper_schedule):
     lhs = (Fraction(1, 2) + 4 / a2) * Fraction(1, 5) - (Fraction(1, 2) - 4 / a2) * Fraction(4, 5)
     assert lhs == Fraction(40093, 3999690)
     assert lhs < Fraction(1, 10)  # the inequality indeed fails at the rule's a_2
-    assert _drift_lhs(2, a2) == lhs
+    assert dominated_drift(2, a2, 0) == lhs
 
 
 def test_c3_witness_boundaries(report, paper_schedule):
