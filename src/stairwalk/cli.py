@@ -8,9 +8,10 @@ induction conditions, and `control` runs the qualitative regime controls.
 
 Outputs are machine-first (JSON/CSV); whatever is printed is rendered from
 the same data.  Exit codes: 0 on success (audit findings are findings, not
-errors), 1 for usage/configuration problems, 2 when a resource budget is
-exceeded.  --threads caps worker parallelism (env STAIRWALK_THREADS is the
-fallback); results are invariant to the setting.
+errors), 1 for usage/configuration problems and for a float DP whose mass
+drifts past its tolerance, 2 when a resource budget is exceeded.  --threads
+caps worker parallelism (env STAIRWALK_THREADS is the fallback); results are
+invariant to the setting.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
         print("hint: use a scaled profile or raise the budget explicitly",
               file=sys.stderr)
         return RESOURCE_EXIT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -176,6 +176,8 @@ class ConstantsProfile:
     @classmethod
     def from_json(cls, text: str) -> "ConstantsProfile":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("profile must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -183,10 +185,8 @@ class ConstantsProfile:
         missing = known - set(data)
         if missing:
             raise ValueError(f"missing profile fields: {sorted(missing)}")
-        kwargs = {k: _decode_number(v) for k, v in data.items()}
-        kwargs["schedule_mode"] = data["schedule_mode"]
-        kwargs["hoeffding_K"] = int(data["hoeffding_K"])
-        return cls(**kwargs)
+        kinds = {"hoeffding_K": int, "schedule_mode": str}  # the rest are numbers
+        return cls(**{k: _field(data, k, kinds.get(k, _NUMBER), "profile") for k in data})
 
 
 def _encode_number(v):
@@ -200,6 +200,29 @@ def _decode_number(v):
         num, den = v.split("/")
         return Fraction(int(num), int(den))
     return v
+
+
+_NUMBER = (int, float, Fraction)
+
+
+def _field(doc, key: str, kind, where: str = "schedule"):
+    """doc[key] checked against `kind`; numbers may be "p/q" strings.
+
+    Raises ValueError naming the key when it is missing or mistyped.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} is missing key {key!r}")
+    value = doc[key]
+    if kind is _NUMBER and isinstance(value, str):
+        try:
+            value = _decode_number(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} key {key!r} has the wrong type: {doc[key]!r}")
+    return value
 
 
 def paper_profile() -> ConstantsProfile:

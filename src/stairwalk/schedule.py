@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +35,11 @@ from scipy import stats
 from .core import (
     PAPER_LITERAL,
     USER_DESIGNED,
+    _NUMBER,
     ConstantsProfile,
     Number,
-    _decode_number,
     _encode_number,
+    _field,
     paper_profile,
     scaled_profile,
 )
@@ -168,28 +168,7 @@ def find_M0(
 # ======================================================================
 
 
-_NUMBER = (int, float, Fraction)
 _PHASE_KEYS = (("i", int), ("length", int), ("a", _NUMBER), ("threshold", _NUMBER))
-
-
-def _field(doc, key: str, kind, where: str = "schedule"):
-    """doc[key] checked against `kind`; numbers may be "p/q" strings.
-
-    Raises ValueError naming the key when it is missing or mistyped.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if key not in doc:
-        raise ValueError(f"{where} is missing key {key!r}")
-    value = doc[key]
-    if kind is _NUMBER and isinstance(value, str):
-        try:
-            value = _decode_number(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} key {key!r} has the wrong type: {doc[key]!r}")
-    return value
 
 
 @dataclass

@@ -8,6 +8,13 @@ independent of batching, execution order, and thread count; replications
 are partitioned into fixed-size chunks and aggregated by exact integer
 sums, which commute.
 
+A chunk reads its streams through one Philox bit generator, re-keyed to
+(r, base_seed) with its counter set to the block's first draw, so draw #j
+of stream r is the same as from a generator built for that stream alone.
+Only as many draws as the walk takes are made.  Uniforms are buffered in
+blocks laid out (column, replication), so each step reads one contiguous
+row; a yielded row is valid until the next step.
+
 One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
 number of steps at either a constant adaptation value a, whose step laws
@@ -42,6 +49,8 @@ GENERATOR_ID = "philox4x64(key=[replication, base_seed])"
 _MASK64 = (1 << 64) - 1
 _CHUNK = 4096          # replication chunk: determinism & memory unit
 _BLOCK = 1024          # uniform columns buffered per refill
+_TILE = 128            # streams drawn before one transposed copy into a block
+assert _BLOCK % 4 == 0, "a block must start on a Philox counter boundary"
 
 
 def replication_seed(base_seed: int, r: int) -> int:
@@ -53,32 +62,54 @@ def replication_seed(base_seed: int, r: int) -> int:
     return (base_seed << 64) | r
 
 
-def _generator(seed128: int) -> np.random.Generator:
-    key = np.array([seed128 & _MASK64, (seed128 >> 64) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class _UniformFeed:
-    """Column-at-a-time access to per-replication uniform streams.
+    """Column-at-a-time access to the uniform streams of a chunk.
 
     Column j always holds draw #j of every stream, regardless of block
     size, so step n of a replication consumes the same uniform no matter
-    how the batch is arranged.
+    how the batch is arranged.  One Philox bit generator serves all the
+    streams: each refill re-keys it to (r, base_seed) and points its counter
+    at the block's first draw.  Philox emits four doubles per counter value
+    and `_BLOCK` is a multiple of four, so a block split from a stream is
+    bit-identical to the same draws taken in one call.  Only the `total`
+    draws the walk takes are made.
+
+    The block is stored (column, replication), filled a tile of streams at
+    a time, and refilled in place: a returned column is valid until the
+    next call.
     """
 
-    def __init__(self, seeds: Sequence[int], block: int = _BLOCK):
-        self._gens = [_generator(s) for s in seeds]
-        self._block = block
-        self._buf = np.empty((len(self._gens), 0))
-        self._col = 0
+    def __init__(self, seeds: Sequence[int], total: int):
+        self._keys = [(seed & _MASK64, (seed >> 64) & _MASK64) for seed in seeds]
+        self._total = total
+        self._bg = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bg)
+        self._state = self._bg.state    # template: key and counter set per refill
+        rows = min(_BLOCK, total)
+        self._buf = np.empty((rows, len(seeds)))
+        self._tile = np.empty((min(_TILE, len(seeds)), rows))
+        self._drawn = self._col = self._end = 0
+
+    def _refill(self) -> None:
+        width = min(_BLOCK, self._total - self._drawn)
+        if width <= 0:
+            raise IndexError(f"the walk has taken all {self._total} draws")
+        state = self._state["state"]
+        state["counter"][:] = (self._drawn // 4, 0, 0, 0)
+        for lo in range(0, len(self._keys), _TILE):
+            keys = self._keys[lo:lo + _TILE]
+            for k, key in enumerate(keys):
+                state["key"][:] = key
+                self._bg.state = self._state
+                self._gen.random(out=self._tile[k, :width])
+            self._buf[:width, lo:lo + len(keys)] = self._tile[:len(keys), :width].T
+        self._drawn += width
+        self._col, self._end = 0, width
 
     def next_column(self) -> np.ndarray:
-        if self._col >= self._buf.shape[1]:
-            self._buf = np.empty((len(self._gens), self._block))
-            for k, g in enumerate(self._gens):
-                self._buf[k] = g.random(self._block)
-            self._col = 0
-        u = self._buf[:, self._col]
+        if self._col == self._end:
+            self._refill()
+        u = self._buf[self._col]
         self._col += 1
         return u
 
@@ -91,37 +122,39 @@ class Segment(NamedTuple):
     a: float | Callable[[int], float]
 
 
-def _inverse_cdf(u: np.ndarray, p_down, p_up) -> np.ndarray:
+def _inverse_cdf(u: np.ndarray, p_down, up_from) -> np.ndarray:
     """Map uniforms through the CDF of the atoms -1 < 0 < +1 with
-    P(-1) = p_down and P(+1) = p_up."""
-    return (u >= 1.0 - p_up).astype(np.int64) - (u < p_down).astype(np.int64)
+    P(-1) = p_down and P(+1) = p_up, given as up_from = 1.0 - p_up."""
+    return np.subtract(u >= up_from, u < p_down, dtype=np.int64)
 
 
 def _walk(seeds: Sequence[int], segments: Sequence[Segment], s: np.ndarray,
           move: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance positions `s` in place through `segments`, one step per
     uniform column, yielding each step's (uniforms, unmasked increments)
-    after `s` has moved.
+    after `s` has moved.  The uniforms are valid until the next step.
 
     `move`, when given, masks every increment; callers may update it in
     place between steps (early stop clears it after a failed phase).
     """
-    feed = _UniformFeed(seeds)
     s_max = sum(seg.length for seg in segments)
+    feed = _UniformFeed(seeds, s_max)
     tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     n0 = 0
     for seg in segments:
         rule = seg.a if callable(seg.a) else None
         if rule is None:
             if seg.a not in tables:
-                tables[seg.a] = step_prob_tables(s_max, seg.a)
-            p_down_tab, p_up_tab = tables[seg.a]
+                p_down_tab, p_up_tab = step_prob_tables(s_max, seg.a)
+                tables[seg.a] = p_down_tab, 1.0 - p_up_tab
+            p_down_tab, up_from_tab = tables[seg.a]
         for n in range(n0, n0 + seg.length):
             u = feed.next_column()
             if rule is None:
-                ds = _inverse_cdf(u, p_down_tab[s], p_up_tab[s])
+                ds = _inverse_cdf(u, p_down_tab[s], up_from_tab[s])
             else:
-                ds = _inverse_cdf(u, *flat_step_probs_at(s, rule(n)))
+                p_down, p_up = flat_step_probs_at(s, rule(n))
+                ds = _inverse_cdf(u, p_down, 1.0 - p_up)
             s += ds if move is None else ds * move
             yield u, ds
         n0 += seg.length
@@ -540,13 +573,13 @@ def run_coupled_check(
         _advance(steps, segments[0].length)
         checked = violations = 0
         for i, (seg, z) in enumerate(zip(segments[1:], z_laws), 2):
-            c, b = float(z.c), float(z.b)
+            c, b_from = float(z.c), 1.0 - float(z.b)
             start, phase_min = s.copy(), s.copy()
             z_sum = np.zeros(len(seeds), dtype=np.int64)
             for _ in range(seg.length):
                 np.minimum(phase_min, s, out=phase_min)
                 u, _ = next(steps)
-                z_sum += _inverse_cdf(u, c, b)
+                z_sum += _inverse_cdf(u, c, b_from)
             valid = phase_min >= 2 * i - 3  # x >= i throughout
             checked += int(valid.sum())
             violations += int((s - start < z_sum)[valid].sum())

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stairwalk import build_paper_schedule, scaled_profile, steady_drift_schedule
+from stairwalk import build_paper_schedule, oracle, scaled_profile, steady_drift_schedule
 from stairwalk.cli import main
 
 
@@ -149,6 +149,15 @@ def test_dp_exit_codes(scaled_file):
     assert main(["dp", "--schedule", scaled_file, "--horizon", "10"]) == 1
 
 
+def test_dp_mass_defect_is_one_error_line(scaled_file, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_FLOAT_DEFECT_TOL", -1.0)  # below any defect
+    capsys.readouterr()
+    assert main(["dp", "--schedule", scaled_file, "--horizon", "40",
+                 "--threshold", "10"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "drifted" in lines[0]
+
+
 def test_feasibility_command(user_file, scaled_file, tmp_path, capsys):
     out, csv_path = tmp_path / "f.json", tmp_path / "f.csv"
     code = main([
@@ -182,6 +191,10 @@ def test_usage_errors(user_file, tmp_path, capsys):
     # malformed schedule files: one error line naming the bad key, no traceback
     good = json.loads(Path(user_file).read_text())
     bad_row = dict(good, phases=[dict(good["phases"][0], length="60")])
+
+    def bad_profile(**fields):
+        return json.dumps(dict(good, profile=dict(good["profile"], **fields)))
+
     cases = {
         "{}": "'mode'",
         '{"mode": "paper-literal"}': "'profile'",
@@ -191,6 +204,10 @@ def test_usage_errors(user_file, tmp_path, capsys):
         json.dumps({k: v for k, v in good.items() if k != "phases"}): "'phases'",
         json.dumps(bad_row): "'length'",
         json.dumps(dict(good, phases=[1])): "phases[0]",
+        bad_profile(hoeffding_K=[1, 2]): "'hoeffding_K'",
+        bad_profile(slack={"p": 1}): "'slack'",
+        bad_profile(drift_floor="x"): "'drift_floor'",
+        bad_profile(a_offset="1/0"): "'a_offset'",
     }
     capsys.readouterr()
     for text, key in cases.items():

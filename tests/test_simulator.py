@@ -17,6 +17,7 @@ from stairwalk import (
     user_schedule,
     wilson_interval,
 )
+from stairwalk.simulator import _BLOCK, _TILE, _UniformFeed
 
 SEED = 20240817
 
@@ -28,6 +29,20 @@ def test_replication_seed_composition():
         replication_seed(-1, 0)
     with pytest.raises(ValueError):
         replication_seed(0, 1 << 64)
+
+
+@pytest.mark.parametrize("total", [1, 3, 771, _BLOCK, _BLOCK + 5, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("count", [1, _TILE + 3])
+def test_uniform_feed_column_j_is_draw_j(total, count):
+    """Column j of the feed is draw #j of the stream keyed [r, base_seed],
+    across block and tile boundaries, and the feed stops at `total`."""
+    feed = _UniformFeed([replication_seed(SEED, r) for r in range(count)], total)
+    columns = np.array([feed.next_column().copy() for _ in range(total)])
+    for r in range(count):
+        stream = np.random.Generator(np.random.Philox(key=[r, SEED]))
+        np.testing.assert_array_equal(columns[:, r], stream.random(total))
+    with pytest.raises(IndexError):
+        feed.next_column()
 
 
 def test_trajectory_determinism(scaled_schedule):
