@@ -1,12 +1,14 @@
 """Claim auditor: verdicts, witnesses, and the C2/C3 cross-link."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from stairwalk import audit_all, audit_single, mean_z, steady_drift_schedule
 from stairwalk.domination import dominated_drift
-from stairwalk.verifier import ClaimResult
+from stairwalk.verifier import CLAIM_IDS, ClaimResult
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +104,45 @@ def test_report_jsonable(report):
     assert set(doc["verdicts"]) == {f"C{k}" for k in range(1, 9)}
     assert doc["claims"][1]["witness"]["i"] == 2
     assert doc["cross_links"]["c2_c3_consistent"] is True
+
+
+# sha256 of the sorted-key JSON of every audit output at i_max = 300,
+# x_depth = 100: the exact paper profile and the float scaled profile.
+GOLDEN_AUDIT = {
+    "paper": {
+        "all": "55bac272941f0fd72c1f88687674c1e5c9a0da485c478017691c36e3db6598f0",
+        "C1": "37bd4d0b0397e05a608f696958cd324824165cf6b309b549945859f4a72f13ec",
+        "C2": "7923b0693c33495322c2064eb914e092215f926f8fc06bcb67a999f633a2a495",
+        "C3": "fccef842c63549ff9b48496a63ca44df11df67ff8f886ae85d87948b36afe472",
+        "C4": "80a51fa1c763fd5ae5ff297bf142dcb45901bb389255b57bd16bdf206057f23f",
+        "C5": "8c9a19d037d85fea48c3bac2ec6894d48f0158138aad935ac76cef8ec0654e8f",
+        "C6": "bbf4f3a19aedabf14010f996a27c96758f263ad9fedca793741d71c0e1c5b23c",
+        "C7": "67a9c7eebab6bcd8c93591d47f7a19743fbdb671ad5184c961928da90bf5beb5",
+        "C8": "d0900d19345b6cca6725af9f54f34445095b25406b9733d93c3e3005ea46d475",
+    },
+    "scaled": {
+        "all": "e898116065aac8e59deaa0739e97fdeba17acd94bf29fa15d9fe0bded8c1e504",
+        "C1": "37bd4d0b0397e05a608f696958cd324824165cf6b309b549945859f4a72f13ec",
+        "C2": "7f851affef25df195e3ad21bbd031dba2236c3b75447d3a7f974c98b6f96dfcf",
+        "C3": "de3e5c2a5d4ca30d6d4e4b76faa069ea150bc1790a8ce1b012d774e162d96d51",
+        "C4": "80a51fa1c763fd5ae5ff297bf142dcb45901bb389255b57bd16bdf206057f23f",
+        "C5": "d8c0016e25a9057275ed1c737cc4608372bcfc19eccd492fd4f9b97545619a0a",
+        "C6": "bbf4f3a19aedabf14010f996a27c96758f263ad9fedca793741d71c0e1c5b23c",
+        "C7": "67a9c7eebab6bcd8c93591d47f7a19743fbdb671ad5184c961928da90bf5beb5",
+        "C8": "d0900d19345b6cca6725af9f54f34445095b25406b9733d93c3e3005ea46d475",
+    },
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_AUDIT))
+def test_golden_audit(name, request):
+    schedule = request.getfixturevalue(f"{name}_schedule")
+    got = {"all": _digest(audit_all(schedule, i_max=300, x_depth=100).to_jsonable())}
+    for cid in CLAIM_IDS:
+        res = audit_single(cid, schedule, i_max=300, x_depth=100)
+        got[cid] = _digest(res.to_jsonable())
+    assert got == GOLDEN_AUDIT[name]
