@@ -18,6 +18,7 @@ stay floats.  Weights are kept unnormalized; only ratios are ever used.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -147,6 +148,10 @@ class ConstantsProfile:
     schedule_mode: str = PAPER_LITERAL
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"profile field {f.name!r} must be finite: {value}")
         if self.drift_floor <= 0:
             raise ValueError("drift_floor must be > 0")
         if self.slack < 0:

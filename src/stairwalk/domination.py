@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Number
-from .kernel import StepDistribution, flat_step_probs_at
+from .kernel import StepDistribution, _inverse_cdf, flat_step_probs_at
 
 _SUM_TOL = 1e-15
 
@@ -124,11 +124,14 @@ def domination_margins(
     """
     if x_lo < i:
         raise ValueError(f"domination is only claimed for x >= i, got x_lo={x_lo}")
+    z = z_distribution(i, schedule)
+    return _margins(float(z.c), float(z.b), float(schedule.a_of_phase(i)), x_lo, x_hi)
+
+
+def _margins(c: float, b: float, a: float, x_lo: int, x_hi: int):
+    """:func:`domination_margins` of the law (c, b) against steps at a."""
     if x_hi < x_lo:
         raise ValueError("empty height range")
-    z = z_distribution(i, schedule)
-    a = float(schedule.a_of_phase(i))
-    c, b = float(z.c), float(z.b)
     x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
     s = np.empty(2 * len(x), dtype=np.int64)
     s[0::2] = 2 * (x - 1)   # diagonal
@@ -203,8 +206,6 @@ def coupled_sample_many(
     u = np.asarray(u, dtype=np.float64)
     if ((u < 0) | (u >= 1)).any():
         raise ValueError("uniforms must lie in [0, 1)")
-    p_down, p_up = float(step_law.p_down), float(step_law.p_up)
-    c, b = float(z.c), float(z.b)
-    step = (u >= 1.0 - p_up).astype(np.int64) - (u < p_down).astype(np.int64)
-    zval = (u >= 1.0 - b).astype(np.int64) - (u < c).astype(np.int64)
+    step = _inverse_cdf(u, float(step_law.p_down), 1.0 - float(step_law.p_up))
+    zval = _inverse_cdf(u, float(z.c), 1.0 - float(z.b))
     return step, zval

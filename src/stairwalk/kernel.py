@@ -244,17 +244,13 @@ def g_down(x: int) -> Fraction:
 
 def monotonicity_violation(x_max: int) -> int | None:
     """First x in [1, x_max) where g_up fails to increase or g_down to
-    decrease strictly, or None.  Integer cross-multiplication, so exact."""
-    for x in range(1, x_max):
-        dx = x * x + (x - 1) ** 2
-        dx1 = (x + 1) ** 2 + x * x
-        # g_up(x+1) > g_up(x)  <=>  x^2 * dx > (x-1)^2 * dx1
-        if not x * x * dx > (x - 1) ** 2 * dx1:
-            return x
-        # g_down(x+1) < g_down(x)  <=>  (x+1)^2 * dx < x^2 * dx1
-        if not (x + 1) ** 2 * dx < x * x * dx1:
-            return x
-    return None
+    decrease strictly, or None.  Both cross-multiplied differences expand
+    to 2x^2 - 1 (the x^4 and x^3 terms cancel), exact in int64 for x < 2^31."""
+    if x_max > 2**31:
+        raise ValueError(f"x_max must be <= 2**31, got {x_max}")
+    x = np.arange(1, x_max, dtype=np.int64)
+    bad = np.flatnonzero(2 * x * x - 1 <= 0)
+    return int(x[bad[0]]) if bad.size else None
 
 
 # ======================================================================
@@ -272,6 +268,12 @@ def flat_step_probs_at(s: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]
     p_up = np.where(even, 0.25 + 2.0 / a, (0.5 + 4.0 / a) * (x - 1.0) ** 2 / d)
     p_down = np.where(s == 0, 0.0, p_down)
     return p_down, p_up
+
+
+def _inverse_cdf(u: np.ndarray, p_down, up_from) -> np.ndarray:
+    """Map uniforms through the CDF of the atoms -1 < 0 < +1 with
+    P(-1) = p_down and P(+1) = p_up, given as up_from = 1.0 - p_up."""
+    return np.subtract(u >= up_from, u < p_down, dtype=np.int64)
 
 
 def step_prob_tables(s_max: int, a: float) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from scipy import stats as _scipy_stats
 from .bounds import phase_success_bound, true_mean_phase_bound
 from .core import PAPER_LITERAL
 from .domination import z_distribution
-from .kernel import flat_step_probs_at, step_prob_tables
+from .kernel import _inverse_cdf, flat_step_probs_at, step_prob_tables
 
 GENERATOR_ID = "philox4x64(key=[replication, base_seed])"
 
@@ -120,12 +120,6 @@ class Segment(NamedTuple):
 
     length: int
     a: float | Callable[[int], float]
-
-
-def _inverse_cdf(u: np.ndarray, p_down, up_from) -> np.ndarray:
-    """Map uniforms through the CDF of the atoms -1 < 0 < +1 with
-    P(-1) = p_down and P(+1) = p_up, given as up_from = 1.0 - p_up."""
-    return np.subtract(u >= up_from, u < p_down, dtype=np.int64)
 
 
 def _walk(seeds: Sequence[int], segments: Sequence[Segment], s: np.ndarray,

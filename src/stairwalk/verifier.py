@@ -2,10 +2,10 @@
 
 Each claim is checked as stated, over an explicit finite range, and the
 verdict is whatever the arithmetic yields; failures are reported with
-witnesses, never repaired.  Exactness matters near boundaries, so C1-C4,
-C6 and C7 run in rational/integer arithmetic; the grid-shaped C5 and C8
-run in floating point with a 1e-12 guard (their margins are >= the slack
-constant, many orders of magnitude above rounding).
+witnesses, never repaired.  Exactness matters near boundaries, so C1-C4
+and C6-C8 run in rational/integer arithmetic; the grid-shaped C5 runs in
+floating point with a 1e-12 guard (its margins are >= the slack constant,
+many orders of magnitude above rounding).
 
 Claims:
     C1  adaptation sequence requirements (>= 8, increasing, diverging)
@@ -19,6 +19,11 @@ Claims:
     C7  strict monotonicity of the height ratios
     C8  phase-1 law facts at a = 8
 
+C1-C6 read one per-phase record, built once per audit and only as far as
+the claims run read it: exact a_i, the law Z_i in the profile's arithmetic
+(so C4 and C5 see float masses under a float profile), and the C2 left side
+exact from a_i.
+
 C2 and C3 are linked: E(Z_i) equals the C2 left side minus twice the slack,
 so whenever C2 holds at i, C3's target holds there too.  audit_all records
 that cross-check explicitly.
@@ -28,19 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .core import PAPER_LITERAL
-from .domination import dominated_drift, domination_margins, mean_z, z_distribution
+from .domination import _margins, dominated_drift, z_distribution
 from .kernel import flat_step_distribution, monotonicity_violation
 
 HOLDS = "holds"
 FAILS = "fails"
 HOLDS_UP_TO = "holds-up-to"
-
-CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 _GUARD = 1e-12
 
@@ -95,10 +98,6 @@ class AuditReport:
         }
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _num(x: Fraction) -> dict:
     return {"exact": str(x), "float": float(x)}
 
@@ -112,122 +111,127 @@ def _prefix_verdict(first_bad: int | None, first_index: int, witness: dict | Non
 
 
 # ----------------------------------------------------------------------
+# The per-phase record
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _PhaseRecord:
+    """Per-phase quantities of phases 1..i_max, keyed by phase.  Each column
+    is built on its first read and shared by every claim that reads it."""
+
+    schedule: object
+    i_max: int
+
+    @property
+    def phases(self) -> range:
+        return range(2, self.i_max + 1)
+
+    @cached_property
+    def a(self) -> dict:
+        """Exact a_i for i >= 1."""
+        a_of_phase = self.schedule.a_of_phase
+        return {i: Fraction(a_of_phase(i)) for i in range(1, self.i_max + 1)}
+
+    @cached_property
+    def z(self) -> dict:
+        """The law Z_i for i >= 2, in the profile's arithmetic."""
+        return {i: z_distribution(i, self.schedule) for i in self.phases}
+
+    @cached_property
+    def lhs(self) -> dict:
+        """C2's left side for i >= 2: b_i - c_i at zero slack, exact."""
+        return {i: dominated_drift(i, self.a[i], 0) for i in self.phases}
+
+
+# ----------------------------------------------------------------------
 # C1: adaptation sequence requirements
 # ----------------------------------------------------------------------
 
 
-def check_c1(schedule, i_max: int) -> ClaimResult:
-    statement = (
-        "adaptation sequence: a_1 = 8, a_i >= 8 for all i, strictly "
-        "increasing for i >= 2, with a_i >= 4i certifying divergence"
-    )
+def check_c1(rec: _PhaseRecord) -> ClaimResult:
     first_bad, witness = None, None
-    if _frac(schedule.a_of_phase(1)) != 8:
-        first_bad, witness = 1, {"i": 1, "a": _num(_frac(schedule.a_of_phase(1)))}
-    prev = None
-    if first_bad is None:
-        for i in range(2, i_max + 1):
-            a = _frac(schedule.a_of_phase(i))
-            ok = a >= 8 and a >= 4 * i and (prev is None or a > prev)
-            if not ok:
+    if rec.a[1] != 8:
+        first_bad, witness = 1, {"i": 1, "a": _num(rec.a[1])}
+    else:
+        for i in rec.phases:
+            a = rec.a[i]
+            if not (a >= 8 and a >= 4 * i and (i == 2 or a > rec.a[i - 1])):
                 first_bad, witness = i, {"i": i, "a": _num(a)}
                 break
-            prev = a
     verdict, witness = _prefix_verdict(first_bad, 1, witness)
     return ClaimResult(
         claim_id="C1",
-        statement=statement,
-        range_checked=f"i in [1, {i_max}]",
+        statement=(
+            "adaptation sequence: a_1 = 8, a_i >= 8 for all i, strictly "
+            "increasing for i >= 2, with a_i >= 4i certifying divergence"
+        ),
+        range_checked=f"i in [1, {rec.i_max}]",
         verdict=verdict,
         witness=witness,
     )
 
 
 # ----------------------------------------------------------------------
-# C2 / C3: the drift inequality and the dominated mean (shared sweep)
+# C2 / C3: the drift inequality and the dominated mean
 # ----------------------------------------------------------------------
 
 
-def _drift_sweep(schedule, i_max: int) -> dict:
-    """Exact per-phase left sides and means, plus all boundary indices."""
-    target = _frac(schedule.profile.drift_target)
-    floor = _frac(schedule.profile.drift_floor)
-    slack = _frac(schedule.profile.slack)
-    mean_target = target - 2 * slack
-
-    first_c2 = first_c3 = None
-    c2_witness = c3_witness = None
-    c2_hold_count = 0
-    last_mean_ge_floor = None
-    last_mean_positive = None
-    consistent = True
-    for i in range(2, i_max + 1):
-        a = _frac(schedule.a_of_phase(i))
-        lhs = dominated_drift(i, a, 0)  # the C2 left side: b_i - c_i at zero slack
-        mean = lhs - 2 * slack  # == E(Z_i) by construction
-        if lhs > target:
-            c2_hold_count += 1
-            if not mean > mean_target:
-                consistent = False
-        elif first_c2 is None:
-            first_c2, c2_witness = i, {"i": i, "lhs": _num(lhs)}
-        if mean < mean_target and first_c3 is None:
-            first_c3, c3_witness = i, {"i": i, "mean": _num(mean)}
-        if mean >= floor:
-            last_mean_ge_floor = i
-        if mean > 0:
-            last_mean_positive = i
-    return {
-        "first_c2": first_c2,
-        "c2_witness": c2_witness,
-        "c2_hold_count": c2_hold_count,
-        "first_c3": first_c3,
-        "c3_witness": c3_witness,
-        "last_mean_ge_floor": last_mean_ge_floor,
-        "last_mean_positive": last_mean_positive,
-        "consistent": consistent,
-        "target": target,
-        "floor": floor,
-        "mean_target": mean_target,
-    }
-
-
-def check_c2(schedule, i_max: int, sweep: dict | None = None) -> ClaimResult:
-    sweep = sweep if sweep is not None else _drift_sweep(schedule, i_max)
-    verdict, witness = _prefix_verdict(sweep["first_c2"], 2, sweep["c2_witness"])
+def check_c2(rec: _PhaseRecord) -> ClaimResult:
+    target = Fraction(rec.schedule.profile.drift_target)
+    first_bad, witness = None, None
+    holds_at = 0
+    for i in rec.phases:
+        if rec.lhs[i] > target:
+            holds_at += 1
+        elif first_bad is None:
+            first_bad, witness = i, {"i": i, "lhs": _num(rec.lhs[i])}
+    verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
         claim_id="C2",
         statement=(
             "per-phase drift inequality: (1/2 + 4/a_i)(i-1)^2/D_i - "
             "(1/2 - 4/a_i) i^2/D_i > drift_target at the schedule's a_i"
         ),
-        range_checked=f"i in [2, {i_max}], exact rationals",
+        range_checked=f"i in [2, {rec.i_max}], exact rationals",
         verdict=verdict,
         witness=witness,
-        details={"holds_at": sweep["c2_hold_count"], "target": float(sweep["target"])},
+        details={"holds_at": holds_at, "target": float(target)},
     )
 
 
-def check_c3(schedule, i_max: int, sweep: dict | None = None) -> ClaimResult:
-    sweep = sweep if sweep is not None else _drift_sweep(schedule, i_max)
-    verdict, witness = _prefix_verdict(sweep["first_c3"], 2, sweep["c3_witness"])
+def check_c3(rec: _PhaseRecord) -> ClaimResult:
+    profile = rec.schedule.profile
+    twice_slack = 2 * Fraction(profile.slack)
+    mean_target = Fraction(profile.drift_target) - twice_slack
+    floor = Fraction(profile.drift_floor)
+    first_bad, witness = None, None
+    last_ge_floor = last_positive = None
+    for i in rec.phases:
+        mean = rec.lhs[i] - twice_slack  # == E(Z_i), exact
+        if mean < mean_target and first_bad is None:
+            first_bad, witness = i, {"i": i, "mean": _num(mean)}
+        if mean >= floor:
+            last_ge_floor = i
+        if mean > 0:
+            last_positive = i
+    boundaries = {
+        "largest_i_mean_ge_drift_floor": last_ge_floor,
+        "largest_i_mean_positive": last_positive,
+    }
     if witness is not None:
-        witness = dict(witness)
-        witness["largest_i_mean_ge_drift_floor"] = sweep["last_mean_ge_floor"]
-        witness["largest_i_mean_positive"] = sweep["last_mean_positive"]
+        witness.update(boundaries)
+    verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
         claim_id="C3",
         statement=(
             "dominated step mean: E(Z_i) >= drift_target - 2*slack for every "
             "phase; boundary indices where E(Z_i) >= drift_floor and > 0"
         ),
-        range_checked=f"i in [2, {i_max}], exact rationals",
+        range_checked=f"i in [2, {rec.i_max}], exact rationals",
         verdict=verdict,
         witness=witness,
-        details={
-            "largest_i_mean_ge_drift_floor": sweep["last_mean_ge_floor"],
-            "largest_i_mean_positive": sweep["last_mean_positive"],
-        },
+        details=boundaries,
     )
 
 
@@ -236,15 +240,12 @@ def check_c3(schedule, i_max: int, sweep: dict | None = None) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def check_c4(schedule, i_max: int) -> ClaimResult:
-    slack = _frac(schedule.profile.slack)
-    c_cap = Fraction(2, 5) + slack
+def check_c4(rec: _PhaseRecord) -> ClaimResult:
+    c_cap = Fraction(2, 5) + Fraction(rec.schedule.profile.slack)
     b_cap = Fraction(9, 20)
     first_bad, witness = None, None
-    for i in range(2, i_max + 1):
-        a = _frac(schedule.a_of_phase(i))
-        z = z_distribution(i, schedule)
-        c, b = _frac(z.c), _frac(z.b)
+    for i in rec.phases:
+        a, c, b = rec.a[i], Fraction(rec.z[i].c), Fraction(rec.z[i].b)
         if not (c <= c_cap and b < b_cap and a > 10):
             first_bad = i
             witness = {"i": i, "c": _num(c), "b": _num(b), "a": _num(a)}
@@ -256,7 +257,7 @@ def check_c4(schedule, i_max: int) -> ClaimResult:
             "the dominated law is valid by the stated arithmetic: "
             "c_i <= 2/5 + slack, b_i < 9/20, and a_i > 10 for i >= 2"
         ),
-        range_checked=f"i in [2, {i_max}], exact rationals",
+        range_checked=f"i in [2, {rec.i_max}], exact rationals",
         verdict=verdict,
         witness=witness,
     )
@@ -267,12 +268,13 @@ def check_c4(schedule, i_max: int) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def check_c5(schedule, i_max: int, x_depth: int) -> ClaimResult:
+def check_c5(rec: _PhaseRecord, x_depth: int) -> ClaimResult:
     min_c = min_b = np.inf
     arg_c = arg_b = None
     first_bad, witness = None, None
-    for i in range(2, i_max + 1):
-        xs, c_m, b_m = domination_margins(i, schedule, i, i + x_depth)
+    for i in rec.phases:
+        z = rec.z[i]
+        xs, c_m, b_m = _margins(float(z.c), float(z.b), float(rec.a[i]), i, i + x_depth)
         kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))
         if c_m[kc] < min_c:
             min_c, arg_c = float(c_m[kc]), (i, int(xs[kc]))
@@ -293,7 +295,7 @@ def check_c5(schedule, i_max: int, x_depth: int) -> ClaimResult:
             "stochastic domination with slack: c_i >= p_down(x) and "
             "b_i <= p_up(x) for both parities and all x in [i, i + depth]"
         ),
-        range_checked=f"i in [2, {i_max}], x in [i, i+{x_depth}], float64",
+        range_checked=f"i in [2, {rec.i_max}], x in [i, i+{x_depth}], float64",
         verdict=verdict,
         witness=witness,
         details={
@@ -310,10 +312,10 @@ def check_c5(schedule, i_max: int, x_depth: int) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def check_c6(schedule, i_max: int) -> ClaimResult:
+def check_c6(rec: _PhaseRecord) -> ClaimResult:
     first_bad, witness = None, None
-    for i in range(2, i_max + 1):
-        lhs = schedule.threshold(i - 1) - schedule.length(i)
+    for i in rec.phases:
+        lhs = rec.schedule.threshold(i - 1) - rec.schedule.length(i)
         if lhs != 2 * i - 2:
             first_bad = i
             witness = {"i": i, "T_prev_minus_L": float(lhs), "expected": 2 * i - 2}
@@ -325,7 +327,7 @@ def check_c6(schedule, i_max: int) -> ClaimResult:
             "worst-case height arithmetic: T_{i-1} - L_i = 2i - 2 for every "
             "phase i >= 2, so a full phase of -1 steps keeps x >= i"
         ),
-        range_checked=f"i in [2, {i_max}], exact",
+        range_checked=f"i in [2, {rec.i_max}], exact",
         verdict=verdict,
         witness=witness,
     )
@@ -338,10 +340,7 @@ def check_c6(schedule, i_max: int) -> ClaimResult:
 
 def check_c7(x_max: int = 10**6) -> ClaimResult:
     bad = monotonicity_violation(x_max)
-    if bad is None:
-        verdict, witness = HOLDS, None
-    else:
-        verdict, witness = (FAILS if bad == 1 else HOLDS_UP_TO), {"x": bad}
+    verdict, witness = _prefix_verdict(bad, 1, None if bad is None else {"x": bad})
     return ClaimResult(
         claim_id="C7",
         statement=(
@@ -417,19 +416,16 @@ def audit_all(
         raise ValueError("the audit interrogates rule-generated schedules only")
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    sweep = _drift_sweep(schedule, i_max)
-    claims = [
-        check_c1(schedule, i_max),
-        check_c2(schedule, i_max, sweep),
-        check_c3(schedule, i_max, sweep),
-        check_c4(schedule, i_max),
-        check_c5(schedule, i_max, x_depth),
-        check_c6(schedule, i_max),
-        check_c7(x_monotone_max),
-        check_c8(schedule, s_phase1_max),
-    ]
+    rec = _PhaseRecord(schedule, i_max)
+    ranges = {"x_depth": x_depth, "x_max": x_monotone_max, "s_max": s_phase1_max}
+    claims = [_CHECKS[claim_id](rec, ranges) for claim_id in CLAIM_IDS]
+    profile = schedule.profile
+    target, twice_slack = Fraction(profile.drift_target), 2 * Fraction(profile.slack)
     cross_links = {
-        "c2_c3_consistent": sweep["consistent"],
+        "c2_c3_consistent": all(
+            rec.lhs[i] - twice_slack > target - twice_slack
+            for i in rec.phases if rec.lhs[i] > target
+        ),
         "note": (
             "E(Z_i) equals the C2 left side minus 2*slack, so C2 holding at i "
             "forces C3's target at i; verified exactly at every i"
@@ -446,21 +442,22 @@ def audit_all(
 
 def audit_single(claim_id: str, schedule, **ranges) -> ClaimResult:
     """Run one claim with custom ranges (i_max, x_depth, x_max, s_max)."""
-    i_max = ranges.get("i_max", 10**4)
-    if claim_id == "C1":
-        return check_c1(schedule, i_max)
-    if claim_id == "C2":
-        return check_c2(schedule, i_max)
-    if claim_id == "C3":
-        return check_c3(schedule, i_max)
-    if claim_id == "C4":
-        return check_c4(schedule, i_max)
-    if claim_id == "C5":
-        return check_c5(schedule, i_max, ranges.get("x_depth", 10**3))
-    if claim_id == "C6":
-        return check_c6(schedule, i_max)
-    if claim_id == "C7":
-        return check_c7(ranges.get("x_max", 10**6))
-    if claim_id == "C8":
-        return check_c8(schedule, ranges.get("s_max", 10**6))
-    raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
+    if claim_id not in _CHECKS:
+        raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
+    ranges = dict(i_max=10**4, x_depth=10**3, x_max=10**6, s_max=10**6) | ranges
+    return _CHECKS[claim_id](_PhaseRecord(schedule, ranges["i_max"]), ranges)
+
+
+# Each claim's check, given the per-phase record and the ranges.  The lambdas
+# look check_cN up at call time, so a wrapper bound to that name sees the call.
+_CHECKS = {
+    "C1": lambda rec, ranges: check_c1(rec),
+    "C2": lambda rec, ranges: check_c2(rec),
+    "C3": lambda rec, ranges: check_c3(rec),
+    "C4": lambda rec, ranges: check_c4(rec),
+    "C5": lambda rec, ranges: check_c5(rec, ranges["x_depth"]),
+    "C6": lambda rec, ranges: check_c6(rec),
+    "C7": lambda rec, ranges: check_c7(ranges["x_max"]),
+    "C8": lambda rec, ranges: check_c8(rec.schedule, ranges["s_max"]),
+}
+CLAIM_IDS = tuple(_CHECKS)

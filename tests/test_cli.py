@@ -208,6 +208,10 @@ def test_usage_errors(user_file, tmp_path, capsys):
         bad_profile(slack={"p": 1}): "'slack'",
         bad_profile(drift_floor="x"): "'drift_floor'",
         bad_profile(a_offset="1/0"): "'a_offset'",
+        bad_profile(phase1_a=float("nan")): "'phase1_a'",
+        bad_profile(a_offset=float("inf")): "'a_offset'",
+        bad_profile(a_offset=float("-inf")): "'a_offset'",
+        bad_profile(overshoot=float("inf")): "'overshoot'",
     }
     capsys.readouterr()
     for text, key in cases.items():

@@ -1,6 +1,8 @@
 """Stair geometry, flattening bijection, weights, and the constants profile."""
 
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,13 @@ def test_profile_validation():
             drift_floor=0.1, drift_target=0.2, slack=0.0, a_offset=0.0,
             overshoot=4, hoeffding_K=1, phase1_a=7.9,
         )
+
+
+def test_profile_rejects_non_finite_numbers():
+    for name, value in [("phase1_a", math.nan), ("a_offset", math.inf),
+                        ("overshoot", math.inf), ("drift_target", math.nan)]:
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+            replace(scaled_profile(), **{name: value})
 
 
 def test_profile_json_round_trip_exact():

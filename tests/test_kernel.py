@@ -175,6 +175,25 @@ def test_monotonicity_exact():
     assert monotonicity_violation(10**4) is None
 
 
+def _cross_multiplied(x: int) -> tuple[int, int]:
+    """The differences whose signs decide g_up(x+1) > g_up(x) and
+    g_down(x+1) < g_down(x), in Python integers."""
+    dx, dx1 = x * x + (x - 1) ** 2, (x + 1) ** 2 + x * x
+    return x * x * dx - (x - 1) ** 2 * dx1, x * x * dx1 - (x + 1) ** 2 * dx
+
+
+def test_monotonicity_expansion_matches_cross_multiplication():
+    # Both differences and 2x^2 - 1 are polynomials in x of degree <= 4, so
+    # agreeing at 5 or more points proves the identity for every x.
+    x = np.arange(1, 10**4 + 1, dtype=np.int64)
+    expansion = (2 * x * x - 1).tolist()
+    assert [_cross_multiplied(v) for v in range(1, 10**4 + 1)] == [(e, e) for e in expansion]
+    first_bad = next((v for v in range(1, 10**4 + 1) if min(_cross_multiplied(v)) <= 0), None)
+    assert monotonicity_violation(10**4 + 1) == first_bad
+    with pytest.raises(ValueError):
+        monotonicity_violation(2**31 + 1)  # 2x^2 would overflow int64
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=10**9))
 def test_monotonicity_pointwise(x):

@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from stairwalk import audit_all, audit_single, mean_z, steady_drift_schedule
+from stairwalk import (
+    PhaseSchedule,
+    audit_all,
+    audit_single,
+    mean_z,
+    steady_drift_schedule,
+)
+from stairwalk import verifier
 from stairwalk.domination import dominated_drift
 from stairwalk.verifier import CLAIM_IDS, ClaimResult
 
@@ -77,6 +85,25 @@ def test_audit_single_custom_ranges(paper_schedule):
     assert res.details["min_c_margin"] >= float(paper_schedule.profile.slack) - 1e-12
     with pytest.raises(ValueError):
         audit_single("C99", paper_schedule)
+
+
+def test_audit_builds_each_phase_once(paper_schedule, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verifier, "z_distribution", counted("z", verifier.z_distribution))
+    monkeypatch.setattr(PhaseSchedule, "a_of_phase", counted("a", PhaseSchedule.a_of_phase))
+    audit_all(paper_schedule, i_max=300, x_depth=10)
+    # a_1..a_300 once, plus the one read inside each z_distribution
+    assert calls == {"a": 300 + 299, "z": 299}
+    calls.clear()
+    audit_single("C1", paper_schedule, i_max=300)
+    assert calls == {"a": 300}
 
 
 def test_c8_details(report):
