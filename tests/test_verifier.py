@@ -13,8 +13,8 @@ from stairwalk import (
     audit_single,
     mean_z,
     steady_drift_schedule,
+    verifier,
 )
-from stairwalk import verifier
 from stairwalk.domination import dominated_drift
 from stairwalk.verifier import CLAIM_IDS, ClaimResult
 
