@@ -10,8 +10,11 @@ Outputs are machine-first (JSON/CSV); whatever is printed is rendered from
 the same data.  Exit codes: 0 on success (audit findings are findings, not
 errors), 1 for usage/configuration problems and for a float DP whose mass
 drifts past its tolerance, 2 when a resource budget is exceeded.  --threads
-caps worker parallelism (env STAIRWALK_THREADS is the fallback); results are
-invariant to the setting.
+(env STAIRWALK_THREADS is the fallback) is the number of forked worker
+processes that run Monte Carlo chunks; each worker receives its job through
+the pool's initializer.  It must be >= 1, defaults to every usable CPU, and
+is capped at the usable CPUs and the chunk count.  Results are invariant to
+the setting.
 """
 
 from __future__ import annotations
@@ -242,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="forked worker processes for Monte Carlo chunks, capped at "
+                            "the usable CPUs (default: all; env STAIRWALK_THREADS)")
         p.add_argument("--metadata", action="store_true",
                        help="embed version/generator/profile in outputs")
 

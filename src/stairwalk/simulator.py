@@ -4,9 +4,18 @@ Reproducibility contract: replication r of an experiment draws its uniforms
 from its own counter-based stream, a Philox4x64 generator keyed by
 (replication index, base seed).  Each stream is a pure function of
 (base_seed, r) with 128-bit key and 128-bit counter state, so results are
-independent of batching, execution order, and thread count; replications
+independent of batching, execution order, and worker count; replications
 are partitioned into fixed-size chunks and aggregated by exact integer
 sums, which commute.
+
+Chunks run in forked worker processes, at most `threads` of them, capped by
+the usable CPUs and the chunk count; one worker, or a platform without
+fork, runs them in-process.  Each call builds its job (a closure over the
+segments, step tables and any user `growth` rule) and hands it to its own
+pool through the pool's initializer, which fork passes on without pickling;
+each task then carries only a chunk's seeds, built in the parent, and
+returns the chunk's small result.  Two chunks per worker are in flight at
+a time, and results come back in chunk order.
 
 A chunk reads its streams through one Philox bit generator, re-keyed to
 (r, base_seed) with its counter set to the block's first draw, so draw #j
@@ -18,20 +27,22 @@ row; a yielded row is valid until the next step.
 One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
 number of steps at either a constant adaptation value a, whose step laws
-are read from one lookup table per distinct a, or under a rule a(n)
-evaluated at every absolute step n.  Step n consumes uniform column n
-(draw #n of every stream) and maps it through the inverse CDF of the
-current three-point step law (atom order -1 < 0 < 1, matching the
-monotone coupling construction); the coupling check draws its dominated
-variable Z from the same uniform through the same inverse CDF.  Callers
-only observe between steps: phase outcomes and checkpoints, phase minima
-and Z sums, down steps, tail occupancy.
+are read from one lookup table per distinct a, built once per call in the
+parent, or under a rule a(n) evaluated at every absolute step n.  Step n
+consumes uniform column n (draw #n of every stream) and maps it through
+the inverse CDF of the current three-point step law (atom order
+-1 < 0 < 1, matching the monotone coupling construction); the coupling
+check draws its dominated variable Z from the same uniform through the
+same inverse CDF.  Callers only observe between steps: phase outcomes and
+checkpoints, phase minima and Z sums, down steps, tail occupancy.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -122,25 +133,38 @@ class Segment(NamedTuple):
     a: float | Callable[[int], float]
 
 
-def _walk(seeds: Sequence[int], segments: Sequence[Segment], s: np.ndarray,
-          move: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+# constant a -> (p_down, 1 - p_up) lookup tables over s in [0, total steps]
+Tables = dict[float, tuple[np.ndarray, np.ndarray]]
+
+
+def _step_tables(segments: Sequence[Segment]) -> Tables:
+    """The lookup tables of every constant-a segment, one per distinct a,
+    sized for the whole walk (s never exceeds the number of steps)."""
+    s_max = sum(seg.length for seg in segments)
+    tables = {}
+    for seg in segments:
+        if not callable(seg.a) and seg.a not in tables:
+            p_down, p_up = step_prob_tables(s_max, seg.a)
+            tables[seg.a] = p_down, 1.0 - p_up
+    return tables
+
+
+def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
+          s: np.ndarray, move: np.ndarray | None = None
+          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance positions `s` in place through `segments`, one step per
     uniform column, yielding each step's (uniforms, unmasked increments)
     after `s` has moved.  The uniforms are valid until the next step.
 
-    `move`, when given, masks every increment; callers may update it in
-    place between steps (early stop clears it after a failed phase).
+    `tables` comes from `_step_tables(segments)`.  `move`, when given,
+    masks every increment; callers may update it in place between steps
+    (early stop clears it after a failed phase).
     """
-    s_max = sum(seg.length for seg in segments)
-    feed = _UniformFeed(seeds, s_max)
-    tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    feed = _UniformFeed(seeds, sum(seg.length for seg in segments))
     n0 = 0
     for seg in segments:
         rule = seg.a if callable(seg.a) else None
         if rule is None:
-            if seg.a not in tables:
-                p_down_tab, p_up_tab = step_prob_tables(s_max, seg.a)
-                tables[seg.a] = p_down_tab, 1.0 - p_up_tab
             p_down_tab, up_from_tab = tables[seg.a]
         for n in range(n0, n0 + seg.length):
             u = feed.next_column()
@@ -161,17 +185,17 @@ def _advance(steps: Iterator, count: int) -> None:
 
 
 def _phase_plan(schedule, max_phase: int):
-    """Segments of phases 1..max_phase and each phase's success test
-    (threshold T_i, strict comparison)."""
+    """Segments of phases 1..max_phase, their step tables, and each phase's
+    success test (threshold T_i, strict comparison)."""
     if max_phase < 1:
         raise ValueError("max_phase must be >= 1")
     phases = range(1, max_phase + 1)
     segments = [Segment(schedule.length(i), float(schedule.a_of_phase(i))) for i in phases]
     tests = [(float(schedule.threshold(i)), schedule.strict_threshold(i)) for i in phases]
-    return segments, tests
+    return segments, _step_tables(segments), tests
 
 
-def _phase_chunk(seeds, segments, tests, early_stop: bool):
+def _phase_chunk(seeds, segments, tables, tests, early_stop: bool):
     """Per-phase outcomes (phase x replication) and S at every phase end.
 
     Outcome k compares S_{N_k} with T_k; with early_stop a replication
@@ -179,7 +203,7 @@ def _phase_chunk(seeds, segments, tests, early_stop: bool):
     """
     s = np.zeros(len(seeds), dtype=np.int64)
     alive = np.ones(len(seeds), dtype=bool)
-    steps = _walk(seeds, segments, s, alive if early_stop else None)
+    steps = _walk(seeds, segments, tables, s, alive if early_stop else None)
     outcomes = np.zeros((len(segments), len(seeds)), dtype=bool)
     checkpoints = []
     for k, (seg, (t, strict)) in enumerate(zip(segments, tests)):
@@ -190,19 +214,44 @@ def _phase_chunk(seeds, segments, tests, early_stop: bool):
     return outcomes, checkpoints
 
 
-def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | None):
-    """Run fn(seeds) over the fixed chunks of replications; ordered results."""
-    def chunk(lo):
-        hi = min(lo + _CHUNK, replications)
-        return fn([replication_seed(base_seed, r) for r in range(lo, hi)])
+_job: Callable | None = None   # set only in pool workers, by _install_job
 
+
+def _install_job(fn: Callable) -> None:
+    global _job
+    _job = fn
+
+
+def _run_job(seeds: list[int]):
+    return _job(seeds)
+
+
+def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | None):
+    """Run fn(seeds) over the fixed chunks of replications; ordered results.
+
+    Up to `threads` forked workers (default: every usable CPU), never more
+    than the usable CPUs or the chunks, since a fork pool starts all its
+    workers at once.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1)
     ranges = range(0, replications, _CHUNK)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    workers = max(1, min(int(workers), len(ranges)))
-    if workers == 1:
-        return [chunk(lo) for lo in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, ranges))
+    workers = min(cpus if threads is None else int(threads), cpus, len(ranges))
+    chunks = ([replication_seed(base_seed, r) for r in range(lo, min(lo + _CHUNK, replications))]
+              for lo in ranges)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(seeds) for seeds in chunks]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_job, initargs=(fn,)) as pool:
+        # Enough to keep every worker busy, without holding every chunk's seeds.
+        inflight = deque(pool.submit(_run_job, seeds) for seeds in islice(chunks, 2 * workers))
+        results = []
+        while inflight:
+            results.append(inflight.popleft().result())
+            inflight.extend(pool.submit(_run_job, seeds) for seeds in islice(chunks, 1))
+        return results
 
 
 # ======================================================================
@@ -238,8 +287,8 @@ def run_replication(
     With early_stop (the default) the walk freezes at the end of the first
     failed phase; later checkpoints then record the frozen position.
     """
-    segments, tests = _phase_plan(schedule, max_phase)
-    outcomes, checkpoints = _phase_chunk([seed], segments, tests, early_stop)
+    segments, tables, tests = _phase_plan(schedule, max_phase)
+    outcomes, checkpoints = _phase_chunk([seed], segments, tables, tests, early_stop)
     return Trajectory(
         seed=seed,
         checkpoints=[(schedule.N(i), int(cp[0])) for i, cp in enumerate(checkpoints, 1)],
@@ -333,10 +382,10 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    segments, tests = _phase_plan(schedule, max_phase)
+    segments, tables, tests = _phase_plan(schedule, max_phase)
 
     def job(seeds):
-        outcomes, _ = _phase_chunk(seeds, segments, tests, early_stop)
+        outcomes, _ = _phase_chunk(seeds, segments, tables, tests, early_stop)
         return np.logical_and.accumulate(outcomes).sum(axis=1)
 
     # successes of phase i are the attempts of phase i + 1
@@ -405,10 +454,11 @@ def final_positions(
         segments.append(Segment(take, float(schedule.a_of_phase(i))))
         covered += take
         i += 1
+    tables = _step_tables(segments)
 
     def job(seeds):
         s = np.zeros(len(seeds), dtype=np.int64)
-        _advance(_walk(seeds, segments, s), horizon)
+        _advance(_walk(seeds, segments, tables, s), horizon)
         return s
 
     parts = _run_chunks(job, replications, base_seed, threads)
@@ -470,11 +520,13 @@ def run_control(
     if mode == "constant":
         if a < 8:
             raise ValueError("constant mode needs a >= 8")
+        segments = [Segment(horizon, a)]
+        tables = _step_tables(segments)
 
         def job(seeds):
             s = np.zeros(len(seeds), dtype=np.int64)
             decreased = np.zeros(len(seeds), dtype=bool)
-            for _, ds in _walk(seeds, [Segment(horizon, a)], s):
+            for _, ds in _walk(seeds, segments, tables, s):
                 decreased |= ds < 0
             return s, decreased
 
@@ -486,7 +538,7 @@ def run_control(
             s = np.zeros(len(seeds), dtype=np.int64)
             hist = np.zeros(horizon + 2, dtype=np.int64)
             low = 0
-            steps = _walk(seeds, [Segment(horizon, rule)], s)
+            steps = _walk(seeds, [Segment(horizon, rule)], {}, s)
             _advance(steps, tail_start)
             for _ in steps:
                 hist += np.bincount(s, minlength=horizon + 2)
@@ -558,12 +610,12 @@ def run_coupled_check(
     """
     if max_phase < 2:
         raise ValueError("the coupling check needs max_phase >= 2")
-    segments, _ = _phase_plan(schedule, max_phase)
+    segments, tables, _ = _phase_plan(schedule, max_phase)
     z_laws = [z_distribution(i, schedule) for i in range(2, max_phase + 1)]
 
     def job(seeds):
         s = np.zeros(len(seeds), dtype=np.int64)
-        steps = _walk(seeds, segments, s)
+        steps = _walk(seeds, segments, tables, s)
         _advance(steps, segments[0].length)
         checked = violations = 0
         for i, (seg, z) in enumerate(zip(segments[1:], z_laws), 2):

@@ -185,7 +185,7 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
-def test_usage_errors(user_file, tmp_path, capsys):
+def test_usage_errors(user_file, tmp_path, capsys, monkeypatch):
     assert main(["schedule", "--sigma", "1.5"]) == 1       # invalid sigma
     assert main(["audit", "--schedule", "/nonexistent.json"]) == 1
     # malformed schedule files: one error line naming the bad key, no traceback
@@ -220,6 +220,14 @@ def test_usage_errors(user_file, tmp_path, capsys):
         assert main(["simulate", "--schedule", str(path), "--phases", "1", "--reps", "10"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+    # worker counts below one: one error line naming threads
+    simulate = ["simulate", "--schedule", user_file, "--phases", "1", "--reps", "10"]
+    for argv, env in [(["--threads", "0"], None), (["--threads", "-1"], None), ([], "0")]:
+        if env is not None:
+            monkeypatch.setenv("STAIRWALK_THREADS", env)
+        assert main(simulate + argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "threads" in lines[0]
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1

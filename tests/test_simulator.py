@@ -1,5 +1,10 @@
 """Monte Carlo engine: determinism, statistics, controls, coupling."""
 
+import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,9 +22,23 @@ from stairwalk import (
     user_schedule,
     wilson_interval,
 )
-from stairwalk.simulator import _BLOCK, _TILE, _UniformFeed
+from stairwalk import simulator
+from stairwalk.simulator import _BLOCK, _CHUNK, _TILE, _UniformFeed
 
 SEED = 20240817
+POOLED_REPS = 2 * _CHUNK + 5    # three chunks, the last one short
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker pools need the fork start method")
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count the worker cap reads."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_cpus
 
 
 def test_replication_seed_composition():
@@ -136,6 +155,125 @@ def test_final_positions_thread_invariant(scaled_schedule):
     a = final_positions(scaled_schedule, 50, 200, SEED, threads=1)
     b = final_positions(scaled_schedule, 50, 200, SEED, threads=3)
     np.testing.assert_array_equal(a, b)
+
+
+@needs_fork
+def test_pool_matches_serial(usable_cpus, monkeypatch):
+    """Three chunks on two forked workers give the same bytes as one
+    in-process loop, for every entry point that runs chunks."""
+    usable_cpus(2)
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
+    sch = user_schedule(scaled_profile(), lengths=[30, 20, 20],
+                        a_values=[8.0, 9.0, 10.0], thresholds=[12, 21, 29])
+
+    def outputs(threads):
+        docs = [run_experiment(sch, 3, POOLED_REPS, SEED, early_stop=e, threads=threads)
+                for e in (True, False)]
+        docs += [run_control("constant", 40, POOLED_REPS, SEED, a=9.0, threads=threads),
+                 run_control("fast-growth", 40, POOLED_REPS, SEED, threads=threads),
+                 run_coupled_check(sch, 3, POOLED_REPS, SEED, threads=threads)]
+        text = json.dumps([d.to_jsonable() for d in docs]).encode()
+        return text, final_positions(sch, 55, POOLED_REPS, SEED, threads=threads).tobytes()
+
+    serial = outputs(1)
+    assert pools == []
+    assert outputs(2) == serial
+    assert pools == [2] * 6
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_error_surfaces(threads, usable_cpus):
+    usable_cpus(2)
+
+    def growth(n):
+        if n == 30:
+            raise ValueError("no a at step 30")
+        return 8.0
+
+    with pytest.raises(ValueError, match="step 30"):
+        run_control("fast-growth", 50, POOLED_REPS, SEED, growth=growth, threads=threads)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_count_is_capped(usable_cpus, monkeypatch):
+    """min(threads, usable CPUs, chunks) workers, no pool for one worker,
+    and at most two chunks per worker in flight.  A stand-in pool runs each
+    chunk in-process when its result is read, so no process starts."""
+    sizes, inflight = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
+            self.unread = 0
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, seeds):
+            self.unread += 1
+            inflight.append(self.unread)
+            pool = self
+
+            class Pending:
+                def result(self):
+                    pool.unread -= 1
+                    return fn(seeds)
+
+            return Pending()
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulator, "_job", None)   # the stand-in installs it here
+    sch = user_schedule(scaled_profile(), lengths=[3], a_values=[8.0], thresholds=[1])
+    reps = 5 * _CHUNK + 1    # six chunks
+    want = final_positions(sch, 3, reps, SEED, threads=1)
+    # (usable CPUs, threads, expected workers)
+    for cpus, threads, workers in [(2, 100_000, 2), (64, None, 6), (64, 3, 3), (64, 1, None),
+                                   (1, 8, None)]:
+        usable_cpus(cpus)
+        sizes.clear()
+        inflight.clear()
+        got = final_positions(sch, 3, reps, SEED, threads=threads)
+        np.testing.assert_array_equal(got, want)
+        assert sizes == ([] if workers is None else [workers]), (cpus, threads)
+        assert max(inflight, default=0) == (0 if workers is None else min(2 * workers, 6))
+
+
+def test_step_tables_built_once_per_call(monkeypatch):
+    """One lookup table per distinct constant a and call, however many
+    chunks the call runs."""
+    calls = []
+    build = simulator.step_prob_tables
+    monkeypatch.setattr(simulator, "step_prob_tables",
+                        lambda s_max, a: calls.append(a) or build(s_max, a))
+    sch = user_schedule(scaled_profile(), lengths=[30, 20, 20],
+                        a_values=[8.0, 8.0, 9.0], thresholds=[12, 21, 29])
+    run_experiment(sch, 3, POOLED_REPS, SEED, threads=1)
+    assert calls == [8.0, 9.0]
+    calls.clear()
+    final_positions(sch, 25, POOLED_REPS, SEED, threads=1)
+    assert calls == [8.0]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_must_be_positive(cond_schedule, threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(cond_schedule, 1, 10, SEED, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        final_positions(cond_schedule, 5, 10, SEED, threads=threads)
 
 
 def test_golden_streams():
