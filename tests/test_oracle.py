@@ -1,5 +1,8 @@
 """Dynamic-programming transient laws vs. hand values and path enumeration."""
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,7 @@ from stairwalk import (
     transient_law,
     user_schedule,
 )
+from stairwalk.cli import main
 from stairwalk.oracle import law_csv_rows
 
 
@@ -157,3 +161,52 @@ def test_law_csv_rows(scaled_schedule):
         law_csv_rows(n1, scaled_schedule, boundaries_only=True)
     )
     assert {r[0] for r in rows_b[1:]} == {n1}
+
+
+# ----------------------------------------------------------------------
+# golden digests
+# ----------------------------------------------------------------------
+
+# sha256 of DP outputs: the float law of S_20000 and the rational law of
+# S_64 on the scaled schedule, and `stairwalk dp` CSV + JSON + stdout on the
+# scaled schedule (phase boundaries only) and on a four-phase user schedule
+# whose last phase is cut at the horizon.
+GOLDEN_DP = {
+    "law_at_float_20000": "657f715d412fa71f0f1ab2282f3a7ff00ec817b8112fe9279453f19ded698e95",
+    "law_at_rational_64": "f5cb520eb6eb64dd31546880a7e2003d3ef1b8ac34bad38e2853da39077a44b9",
+    "dp_scaled_5000_boundaries": "275d7870eef3b213aab14e08fdcb6baf86870375f861ebd14dae535206d0a3a1",
+    "dp_user_40": "97a21509e93e4272cada46f5c681418e531303c217861dea9079898f621af90d",
+    "dp_user_40_boundaries": "b0293cfa0637a131d93c56e13f6880feefaa24c2dad3a509daf7991089718b56",
+    "dp_user_30_rational": "71676484108d021b2b1c744f5adacbfc96bfdfdf22f0070cc2bce86e10322573",
+}
+
+
+def test_golden_dp(scaled_schedule, tmp_path):
+    """Any change to a bit of the DP's laws, CSV rows or event probability
+    fails here."""
+    out = {
+        "law_at_float_20000": law_at(2 * 10**4, scaled_schedule).mass.tobytes(),
+        "law_at_rational_64": "\n".join(
+            str(p) for p in law_at(64, scaled_schedule, arithmetic="rational").mass
+        ).encode(),
+    }
+    user = user_schedule(scaled_profile(), [5, 7, 9, 40],
+                         [8.0, 10.0, Fraction(25, 2), 20.0], [3, 6, 10, 20])
+    for stem, sched in {"scaled": scaled_schedule, "user": user}.items():
+        (tmp_path / f"{stem}.json").write_text(sched.to_json())
+    runs = {
+        "scaled_5000_boundaries": ["scaled", "5000", "--boundaries-only", "--threshold", "300"],
+        "user_40": ["user", "40", "--threshold", "12"],
+        "user_40_boundaries": ["user", "40", "--boundaries-only", "--threshold", "12",
+                               "--non-strict"],
+        "user_30_rational": ["user", "30", "--arithmetic", "rational", "--threshold", "9"],
+    }
+    for name, (stem, horizon, *rest) in runs.items():
+        csv, doc = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["dp", "--schedule", str(tmp_path / f"{stem}.json"),
+                         "--horizon", horizon, *rest, "--out", str(csv),
+                         "--json", str(doc)]) == 0
+        out[f"dp_{name}"] = csv.read_bytes() + doc.read_bytes() + stdout.getvalue().encode()
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in out.items()} == GOLDEN_DP
