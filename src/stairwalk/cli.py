@@ -22,12 +22,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import __version__
 from .bounds import divergence_lower_bound, product_limit_check
 from .core import PAPER_LITERAL, USER_DESIGNED, ConstantsProfile, paper_profile
-from .oracle import ResourceBudgetError, event_probability, law_csv_rows
+from .oracle import (
+    ResourceBudgetError,
+    law_csv_rows,
+    phase_ends,
+    tail_probability,
+    transient_law,
+)
 from .schedule import PhaseSchedule, build_paper_schedule, check_schedule_feasibility
 from .serialize import dump_csv, dump_json, fmt_real
 from .simulator import (
@@ -174,23 +181,27 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _keep_last(laws, kept: deque):
+    """Pass `laws` through, keeping the latest one in `kept`."""
+    for law in laws:
+        kept.append(law)
+        yield law
+
+
 def cmd_dp(args) -> int:
     sched = _load_schedule(args.schedule)
     if not args.out and args.threshold is None:
         raise ValueError("nothing to do: pass --out for a law dump and/or --threshold")
+    # one pass over the laws serves both the CSV and the event probability
+    laws = transient_law(args.horizon, sched, arithmetic=args.arithmetic)
+    final = deque(maxlen=1)
     if args.out:
-        dump_csv(
-            law_csv_rows(
-                args.horizon, sched, arithmetic=args.arithmetic,
-                boundaries_only=args.boundaries_only,
-            ),
-            args.out,
-        )
+        ends = phase_ends(sched, args.horizon) if args.boundaries_only else None
+        laws = _keep_last(laws, final)
+        dump_csv(law_csv_rows(laws, ends), args.out)
+    final.extend(laws)  # without --out, this runs the whole pass
     if args.threshold is not None:
-        p = event_probability(
-            args.horizon, sched, args.threshold,
-            strict=not args.non_strict, arithmetic=args.arithmetic,
-        )
+        p = tail_probability(final[0], args.threshold, strict=not args.non_strict)
         rel = ">" if not args.non_strict else ">="
         print(f"P(S_{args.horizon} {rel} {args.threshold}) = {fmt_real(p)}")
         if args.json:

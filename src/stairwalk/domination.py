@@ -160,14 +160,6 @@ def check_domination(i: int, schedule, x_lo: int, x_hi: int) -> DominationReport
     )
 
 
-def domination_csv_rows(i: int, schedule, x_lo: int, x_hi: int):
-    yield ("i", "x", "parity", "c_margin", "b_margin")
-    xs, c_m, b_m = domination_margins(i, schedule, x_lo, x_hi)
-    for k in range(len(xs)):
-        parity = "diagonal" if k % 2 == 0 else "sub-diagonal"
-        yield (i, int(xs[k]), parity, float(c_m[k]), float(b_m[k]))
-
-
 # ======================================================================
 # Monotone coupling
 # ======================================================================

@@ -232,20 +232,11 @@ def kernel_equivalence_check(
 # ======================================================================
 
 
-def g_up(x: int) -> Fraction:
-    """(x-1)^2 / (x^2 + (x-1)^2); strictly increasing for x >= 1."""
-    return Fraction((x - 1) ** 2, x * x + (x - 1) ** 2)
-
-
-def g_down(x: int) -> Fraction:
-    """x^2 / (x^2 + (x-1)^2); strictly decreasing for x >= 1."""
-    return Fraction(x * x, x * x + (x - 1) ** 2)
-
-
 def monotonicity_violation(x_max: int) -> int | None:
-    """First x in [1, x_max) where g_up fails to increase or g_down to
-    decrease strictly, or None.  Both cross-multiplied differences expand
-    to 2x^2 - 1 (the x^4 and x^3 terms cancel), exact in int64 for x < 2^31."""
+    """First x in [1, x_max) where the height ratio (x-1)^2/D of the up step
+    fails to increase strictly, or x^2/D of the down step to decrease, with
+    D = x^2 + (x-1)^2; or None.  Both cross-multiplied differences expand to
+    2x^2 - 1 (the x^4 and x^3 terms cancel), exact in int64 for x < 2^31."""
     if x_max > 2**31:
         raise ValueError(f"x_max must be <= 2**31, got {x_max}")
     x = np.arange(1, x_max, dtype=np.int64)

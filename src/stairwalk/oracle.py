@@ -7,15 +7,23 @@ horizon is computable to floating (or, for short horizons, exact rational)
 precision.  This is the independent ground truth the Monte Carlo engine is
 validated against.
 
+One engine, `_transient`, serves both arithmetics with the same three-term
+array update.  It walks the schedule's phase segments, which alone decide
+which a holds at each step, and reads (p_down, p_up) from one table per
+distinct a: float64 from `step_prob_tables`, or Fractions from
+`flat_step_distribution` in object arrays.
+
 Mass is deliberately never renormalized: the per-step defect stays
-observable and is reported by TransientLaw.mass_defect.
+observable and is reported by TransientLaw.mass_defect; `tail_probability`
+rejects a float law whose defect is past tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,8 +82,8 @@ def transient_law(
     """Yield the law of S_n for n = 0, 1, ..., horizon.
 
     Float mode runs in O(horizon^2) time and O(horizon) memory; rational
-    mode is exact but limited to horizon <= 64.  Validation is eager; the
-    recursion itself is lazy.
+    mode is exact but limited to horizon <= 64.  Validation, of the horizon
+    against the schedule too, is eager; the recursion itself is lazy.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -89,51 +97,38 @@ def transient_law(
             raise ResourceBudgetError(
                 f"rational mode supports horizon <= {RATIONAL_HORIZON_LIMIT}"
             )
-        return _transient_rational(horizon, schedule)
-    if arithmetic != FLOAT:
+    elif arithmetic != FLOAT:
         raise ValueError(f"arithmetic must be {FLOAT!r} or {RATIONAL!r}")
-    return _transient_float(horizon, schedule)
+    return _transient(horizon, schedule.segments(horizon), arithmetic == RATIONAL)
 
 
-def _transient_float(horizon: int, schedule) -> Iterator[TransientLaw]:
-    mass = np.zeros(horizon + 1, dtype=np.float64)
-    mass[0] = 1.0
-    yield TransientLaw(n=0, mass=mass[:1].copy())
+def _step_table(s_max: int, a, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(p_down, p_up) for s in [0, s_max]: Fractions in object arrays when
+    exact, float64 otherwise."""
+    if not exact:
+        return step_prob_tables(s_max, a)
+    laws = [flat_step_distribution(s, a) for s in range(s_max + 1)]
+    return (np.array([law.p_down for law in laws], dtype=object),
+            np.array([law.p_up for law in laws], dtype=object))
 
-    tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for n in range(horizon):
-        a = float(schedule.a_of_step(n))
+
+def _transient(horizon: int, segments, exact: bool) -> Iterator[TransientLaw]:
+    mass = np.array([Fraction(1) if exact else 1.0], dtype=object if exact else np.float64)
+    yield TransientLaw(n=0, mass=mass.tolist() if exact else mass.copy())
+    tables = {}
+    for steps, a in segments:
+        a = Fraction(a) if exact else float(a)
         if a not in tables:
-            tables[a] = step_prob_tables(horizon, a)
+            tables[a] = _step_table(horizon, a, exact)
         p_down, p_up = tables[a]
-        width = n + 1  # current support is [0, n]
-        cur = mass[:width]
-        new = np.zeros(width + 1, dtype=np.float64)
-        new[:width] = cur * (1.0 - p_down[:width] - p_up[:width])
-        new[1:] += cur * p_up[:width]
-        new[:-2] += (cur * p_down[:width])[1:]
-        mass[: width + 1] = new
-        yield TransientLaw(n=n + 1, mass=mass[: width + 1].copy())
-
-
-def _transient_rational(horizon: int, schedule) -> Iterator[TransientLaw]:
-    mass = [Fraction(1)]
-    yield TransientLaw(n=0, mass=list(mass))
-    for n in range(horizon):
-        a = schedule.a_of_phase(schedule.phase_of_step(n))
-        if isinstance(a, float):
-            a = Fraction(a)
-        new = [Fraction(0)] * (len(mass) + 1)
-        for s, p in enumerate(mass):
-            if p == 0:
-                continue
-            law = flat_step_distribution(s, a)
-            if s > 0:
-                new[s - 1] += p * law.p_down
-            new[s] += p * law.p_stay
-            new[s + 1] += p * law.p_up
-        mass = new
-        yield TransientLaw(n=n + 1, mass=list(mass))
+        for _ in range(steps):
+            width = len(mass)
+            new = np.zeros(width + 1, dtype=mass.dtype)
+            new[:width] = mass * (1 - p_down[:width] - p_up[:width])
+            new[1:] += mass * p_up[:width]
+            new[:-2] += (mass * p_down[:width])[1:]
+            mass = new
+            yield TransientLaw(n=width, mass=mass.tolist() if exact else mass.copy())
 
 
 def law_at(
@@ -149,6 +144,24 @@ def law_at(
     return law
 
 
+def tail_probability(law: TransientLaw, threshold, strict: bool = True):
+    """P(S_n > threshold) (or >= with strict=False) from the law of S_n.
+
+    A float law whose mass has drifted past _FLOAT_DEFECT_TOL raises
+    ArithmeticError; otherwise its tail sum is clamped to [0, 1].
+    """
+    if not isinstance(law.mass, np.ndarray):
+        return law.prob_greater(threshold, strict=strict)
+    defect = law.mass_defect()
+    if defect > _FLOAT_DEFECT_TOL:
+        raise ArithmeticError(
+            f"transient mass drifted by {defect:.3e}; horizon too deep "
+            "for float mode"
+        )
+    # defect-sized noise can push a tail sum just past the endpoints
+    return min(1.0, max(0.0, law.prob_greater(threshold, strict=strict)))
+
+
 def event_probability(
     horizon: int,
     schedule,
@@ -158,49 +171,25 @@ def event_probability(
     horizon_budget: int = DEFAULT_HORIZON_BUDGET,
 ):
     """P(S_horizon > threshold) (or >= with strict=False), exactly from the DP."""
-    law = law_at(horizon, schedule, arithmetic, horizon_budget)
-    if arithmetic == FLOAT:
-        defect = law.mass_defect()
-        if defect > _FLOAT_DEFECT_TOL:
-            raise ArithmeticError(
-                f"transient mass drifted by {defect:.3e}; horizon too deep "
-                "for float mode"
-            )
-        # defect-sized noise can push a tail sum just past the endpoints
-        return min(1.0, max(0.0, law.prob_greater(threshold, strict=strict)))
-    return law.prob_greater(threshold, strict=strict)
+    return tail_probability(law_at(horizon, schedule, arithmetic, horizon_budget),
+                            threshold, strict=strict)
 
 
-def law_csv_rows(
-    horizon: int,
-    schedule,
-    arithmetic: str = FLOAT,
-    boundaries_only: bool = False,
-    horizon_budget: int = DEFAULT_HORIZON_BUDGET,
-):
-    """(n, s, mass) rows for every step law, or only at phase boundaries."""
-    laws = transient_law(horizon, schedule, arithmetic, horizon_budget)
-    boundaries = None
-    if boundaries_only:
-        boundaries = set()
-        i = 1
-        while True:
-            n_i = schedule.N(i)
-            if n_i > horizon:
-                break
-            boundaries.add(n_i)
-            if schedule.n_phases is not None and i == schedule.n_phases:
-                break
-            i += 1
+def phase_ends(schedule, horizon: int) -> set[int]:
+    """The phase ends N_i <= horizon: the cumulative step counts of the
+    schedule's segments, less a last one that cuts its phase."""
+    ends = accumulate(steps for steps, _ in schedule.segments(horizon))
+    return {n for i, n in enumerate(ends, 1) if n == schedule.N(i)}
 
-    def rows():
-        yield ("n", "s", "mass")
-        for law in laws:
-            if boundaries is not None and law.n not in boundaries:
-                continue
-            for s, p in enumerate(law.mass):
-                p = float(p)
-                if p != 0.0:
-                    yield (law.n, s, p)
 
-    return rows()
+def law_csv_rows(laws: Iterable[TransientLaw], boundaries: set[int] | None = None):
+    """(n, s, mass) rows for every law, or only for those whose n is in
+    `boundaries`; zero masses are left out."""
+    yield ("n", "s", "mass")
+    for law in laws:
+        if boundaries is not None and law.n not in boundaries:
+            continue
+        for s, p in enumerate(law.mass):
+            p = float(p)
+            if p != 0.0:
+                yield (law.n, s, p)

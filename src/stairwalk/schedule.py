@@ -287,6 +287,23 @@ class PhaseSchedule:
     def a_of_step(self, n: int) -> Number:
         return self.a_of_phase(self.phase_of_step(n))
 
+    def segments(self, horizon: int) -> list[tuple[int, Number]]:
+        """(steps, a_i) of each phase i that starts before `horizon`, in
+        order, the last one cut at the horizon: the one place that decides
+        which a holds at each step.  The cumulative steps are N_1, N_2, ...,
+        except where the last phase is cut.  A horizon past the end of the
+        last defined phase is a ValueError."""
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        if self.n_phases is not None and horizon > self.N(self.n_phases):
+            raise ValueError(f"horizon {horizon} is past the schedule's end, "
+                             f"at step {self.N(self.n_phases)}")
+        out, i = [], 1
+        while self.N(i - 1) < horizon:
+            out.append((min(self.N(i), horizon) - self.N(i - 1), self.a_of_phase(i)))
+            i += 1
+        return out
+
     # -- serialization ----------------------------------------------------
 
     def to_jsonable(self) -> dict:

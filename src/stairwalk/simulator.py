@@ -189,9 +189,10 @@ def _phase_plan(schedule, max_phase: int):
     success test (threshold T_i, strict comparison)."""
     if max_phase < 1:
         raise ValueError("max_phase must be >= 1")
-    phases = range(1, max_phase + 1)
-    segments = [Segment(schedule.length(i), float(schedule.a_of_phase(i))) for i in phases]
-    tests = [(float(schedule.threshold(i)), schedule.strict_threshold(i)) for i in phases]
+    segments = [Segment(steps, float(a))
+                for steps, a in schedule.segments(schedule.N(max_phase))]
+    tests = [(float(schedule.threshold(i)), schedule.strict_threshold(i))
+             for i in range(1, max_phase + 1)]
     return segments, _step_tables(segments), tests
 
 
@@ -445,15 +446,7 @@ def final_positions(
     threads: int | None = None,
 ) -> np.ndarray:
     """S_horizon for each replication (no phase events evaluated)."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    segments = []
-    covered, i = 0, 1
-    while covered < horizon:
-        take = min(schedule.length(i), horizon - covered)
-        segments.append(Segment(take, float(schedule.a_of_phase(i))))
-        covered += take
-        i += 1
+    segments = [Segment(steps, float(a)) for steps, a in schedule.segments(horizon)]
     tables = _step_tables(segments)
 
     def job(seeds):

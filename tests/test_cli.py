@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from stairwalk import build_paper_schedule, oracle, scaled_profile, steady_drift_schedule
+from stairwalk import (
+    build_paper_schedule,
+    law_at,
+    oracle,
+    scaled_profile,
+    steady_drift_schedule,
+    user_schedule,
+)
 from stairwalk.cli import main
 
 
@@ -156,6 +163,43 @@ def test_dp_mass_defect_is_one_error_line(scaled_file, monkeypatch, capsys):
                  "--threshold", "10"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "drifted" in lines[0]
+
+
+def test_dp_horizon_past_last_phase(tmp_path, capsys):
+    # a 3 + 4 step schedule defines steps 0..6, so laws up to S_7
+    sched = user_schedule(scaled_profile(), [3, 4], [8.0, 10.0], [1, 2])
+    assert law_at(7, sched).n == 7
+    with pytest.raises(ValueError, match="horizon 9 .* step 7"):
+        oracle.transient_law(9, sched)  # raised before any law is drawn
+    path, law_csv = tmp_path / "short.json", tmp_path / "law.csv"
+    path.write_text(sched.to_json())
+    capsys.readouterr()
+    assert main(["dp", "--schedule", str(path), "--horizon", "9",
+                 "--out", str(law_csv), "--threshold", "1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "horizon 9" in lines[0]
+    assert not law_csv.exists()
+
+
+def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
+    """The CSV and the event probability come from one pass over the laws,
+    so adding --out builds no further step table."""
+    built = []
+    real = oracle.step_prob_tables
+    monkeypatch.setattr(oracle, "step_prob_tables",
+                        lambda s_max, a: built.append(a) or real(s_max, a))
+
+    def tables(*argv):
+        built.clear()
+        assert main(["dp", "--schedule", scaled_file, "--horizon", "900",
+                     "--threshold", "150", *argv]) == 0
+        return len(built)
+
+    alone = tables()
+    assert alone == 2  # phase 1 ends at step 771, inside the horizon
+    assert tables("--out", str(tmp_path / "law.csv"), "--boundaries-only") == alone
+    assert tables("--out", str(tmp_path / "law.csv"), "--json",
+                  str(tmp_path / "p.json"), "--non-strict", "--boundaries-only") == alone
 
 
 def test_feasibility_command(user_file, scaled_file, tmp_path, capsys):

@@ -99,15 +99,6 @@ def test_domination_requires_x_at_least_i(paper_schedule):
         domination_margins(3, paper_schedule, 3, 2)
 
 
-def test_domination_csv_rows(paper_schedule):
-    from stairwalk.domination import domination_csv_rows
-
-    rows = list(domination_csv_rows(2, paper_schedule, 2, 4))
-    assert rows[0] == ("i", "x", "parity", "c_margin", "b_margin")
-    assert len(rows) == 1 + 2 * 3
-    assert {r[2] for r in rows[1:]} == {"diagonal", "sub-diagonal"}
-
-
 # ----------------------------------------------------------------------
 # coupling
 # ----------------------------------------------------------------------

@@ -17,13 +17,22 @@ from stairwalk import (
 )
 from stairwalk.kernel import (
     flat_step_probs_at,
-    g_down,
-    g_up,
     monotonicity_violation,
     step_prob_tables,
 )
 
 A2_PAPER = Fraction(399969, 31000)  # rule value of a_2 under the original constants
+
+
+def g_up(x: int) -> Fraction:
+    """(x-1)^2 / (x^2 + (x-1)^2): the height ratio of the sub-diagonal up
+    step, the oracle for monotonicity_violation."""
+    return Fraction((x - 1) ** 2, x * x + (x - 1) ** 2)
+
+
+def g_down(x: int) -> Fraction:
+    """x^2 / (x^2 + (x-1)^2): the height ratio of the diagonal down step."""
+    return Fraction(x * x, x * x + (x - 1) ** 2)
 
 
 def test_flat_step_examples_exact():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
     ResourceBudgetError,
@@ -18,7 +19,7 @@ from stairwalk import (
     user_schedule,
 )
 from stairwalk.cli import main
-from stairwalk.oracle import law_csv_rows
+from stairwalk.oracle import law_csv_rows, phase_ends
 
 
 @pytest.fixture(scope="module")
@@ -153,14 +154,37 @@ def test_budget_errors(a8_schedule, scaled_schedule):
 
 
 def test_law_csv_rows(scaled_schedule):
-    rows = list(law_csv_rows(5, scaled_schedule))
+    rows = list(law_csv_rows(transient_law(5, scaled_schedule)))
     assert rows[0] == ("n", "s", "mass")
     assert all(len(r) == 3 for r in rows[1:])
     n1 = scaled_schedule.N(1)
     rows_b = list(
-        law_csv_rows(n1, scaled_schedule, boundaries_only=True)
+        law_csv_rows(transient_law(n1, scaled_schedule), phase_ends(scaled_schedule, n1))
     )
     assert {r[0] for r in rows_b[1:]} == {n1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_dp_matches_float_dp(data):
+    """Over random small user schedules, the float law is float() of the
+    rational law to within 1e-14 at every step, and the rational law holds
+    its mass exactly."""
+    k = data.draw(st.integers(2, 4), label="phases")
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k), label="lengths")
+    a_rest = data.draw(st.lists(
+        st.fractions(min_value=8, max_value=1000, max_denominator=1000),
+        min_size=k - 1, max_size=k - 1), label="a")
+    sched = user_schedule(scaled_profile(), lengths, [Fraction(8)] + sorted(a_rest),
+                          list(range(1, k + 1)))
+    horizon = data.draw(st.integers(0, min(30, sum(lengths))), label="horizon")
+    exact = list(transient_law(horizon, sched, arithmetic="rational"))
+    approx = list(transient_law(horizon, sched))
+    assert [law.n for law in exact] == [law.n for law in approx] == list(range(horizon + 1))
+    for e, f in zip(exact, approx):
+        assert all(isinstance(p, Fraction) for p in e.mass)
+        assert sum(e.mass) == 1
+        assert np.abs(np.array([float(p) for p in e.mass]) - f.mass).max() <= 1e-14
 
 
 # ----------------------------------------------------------------------
