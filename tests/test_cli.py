@@ -186,8 +186,12 @@ def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
     so adding --out builds no further step table."""
     built = []
     real = oracle.step_prob_tables
-    monkeypatch.setattr(oracle, "step_prob_tables",
-                        lambda s_max, a: built.append(a) or real(s_max, a))
+
+    def counted(s_max, a):
+        built.append(a)
+        return real(s_max, a)
+
+    monkeypatch.setattr(oracle, "step_prob_tables", counted)
 
     def tables(*argv):
         built.clear()
