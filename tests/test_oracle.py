@@ -234,3 +234,38 @@ def test_golden_dp(scaled_schedule, tmp_path):
                          "--json", str(doc)]) == 0
         out[f"dp_{name}"] = csv.read_bytes() + doc.read_bytes() + stdout.getvalue().encode()
     assert {k: hashlib.sha256(v).hexdigest() for k, v in out.items()} == GOLDEN_DP
+
+
+# sha256 of DP outputs past step ~1075, where (1/2)^n underflows and the top
+# of a float law is exactly 0.0: the float law of S_3000 on the paper
+# schedule (phase 1, a = 8), `stairwalk dp` on it without --out, and a
+# phase-boundary dump of a three-phase user schedule cut at step 2000.
+GOLDEN_DP_UNDERFLOW = {
+    "law_at_paper_3000": "13aae2f9a4fe95178ed6dc6313c95a807b5fb56c2bf559ecbc684ea172388509",
+    "dp_paper_3000": "6de35199233fb9ee90eaaa00cd750ca996e81f4d3670b9c8f4710012030f80bb",
+    "dp_user_2000_boundaries": "55161fd4e39d096008bac0d6110d4e72b6610d5ea280c70065c3e3ad14304ec1",
+}
+
+
+def test_golden_dp_past_underflow(paper_schedule, tmp_path):
+    """The laws and dp outputs where zero entries sit above the support."""
+    law = law_at(3000, paper_schedule)
+    assert not law.mass[-400:].any()
+    out = {"law_at_paper_3000": law.mass.tobytes()}
+    user = user_schedule(scaled_profile(), [600, 700, 900], [8.0, 11.0, 30.0], [3, 6, 10])
+    for stem, sched in {"paper": paper_schedule, "user": user}.items():
+        (tmp_path / f"{stem}.json").write_text(sched.to_json())
+    runs = {
+        "paper_3000": ["paper", "3000", "--threshold", "1500"],
+        "user_2000_boundaries": ["user", "2000", "--boundaries-only", "--threshold", "900",
+                                 "--out", str(tmp_path / "user_2000_boundaries.csv")],
+    }
+    for name, (stem, horizon, *rest) in runs.items():
+        csv, doc = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["dp", "--schedule", str(tmp_path / f"{stem}.json"),
+                         "--horizon", horizon, *rest, "--json", str(doc)]) == 0
+        out[f"dp_{name}"] = ((csv.read_bytes() if csv.exists() else b"")
+                             + doc.read_bytes() + stdout.getvalue().encode())
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in out.items()} == GOLDEN_DP_UNDERFLOW
