@@ -30,13 +30,12 @@ from .bounds import divergence_lower_bound, product_limit_check
 from .core import PAPER_LITERAL, USER_DESIGNED, ConstantsProfile, paper_profile
 from .oracle import (
     ResourceBudgetError,
-    law_csv_rows,
     phase_ends,
     tail_probability,
     transient_law,
 )
 from .schedule import PhaseSchedule, build_paper_schedule, check_schedule_feasibility
-from .serialize import dump_csv, dump_json, fmt_real
+from .serialize import dump_csv, dump_json, dump_law_csv, fmt_real
 from .simulator import (
     GENERATOR_ID,
     run_control,
@@ -192,13 +191,17 @@ def cmd_dp(args) -> int:
     sched = _load_schedule(args.schedule)
     if not args.out and args.threshold is None:
         raise ValueError("nothing to do: pass --out for a law dump and/or --threshold")
-    # one pass over the laws serves both the CSV and the event probability
-    laws = transient_law(args.horizon, sched, arithmetic=args.arithmetic)
+    # one pass over the laws serves both the CSV and the event probability,
+    # and it copies out only the laws they read
+    ends = None
+    steps = None if args.out else {args.horizon}
+    if args.out and args.boundaries_only:
+        ends = phase_ends(sched, args.horizon)
+        steps = ends | {args.horizon}
+    laws = transient_law(args.horizon, sched, arithmetic=args.arithmetic, steps=steps)
     final = deque(maxlen=1)
     if args.out:
-        ends = phase_ends(sched, args.horizon) if args.boundaries_only else None
-        laws = _keep_last(laws, final)
-        dump_csv(law_csv_rows(laws, ends), args.out)
+        dump_law_csv(_keep_last(laws, final), args.out, ends)
     final.extend(laws)  # without --out, this runs the whole pass
     if args.threshold is not None:
         p = tail_probability(final[0], args.threshold, strict=not args.non_strict)

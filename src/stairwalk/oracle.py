@@ -8,10 +8,18 @@ precision.  This is the independent ground truth the Monte Carlo engine is
 validated against.
 
 One engine, `_transient`, serves both arithmetics with the same three-term
-array update.  It walks the schedule's phase segments, which alone decide
-which a holds at each step, and reads (p_down, p_up) from one table per
-distinct a: float64 from `step_prob_tables`, or Fractions from
-`flat_step_distribution` in object arrays.
+update, done in place: two preallocated buffers of horizon + 2 entries
+(float64, or Fractions in object arrays) swap each step, and a third holds
+the products.  The update runs only over the law's support window [0, top + 1],
+where top bounds the nonzero entries.  In float mode (1/2)^n underflows after
+about 1075 steps, so the top of the law is exactly 0.0 and the window stops
+growing; every entry outside it would have come out exactly +0.0 anyway, so
+the laws are bit for bit those of the full-width update.  The engine walks
+the schedule's phase segments, which alone decide which a holds at each
+step, and builds (p_down, p_up, stay) once per segment, only as far as the
+window can reach within it: float64 from `step_prob_tables`, or Fractions
+from `flat_step_distribution`.  A law is copied out only at the steps asked
+for.
 
 Mass is deliberately never renormalized: the per-step defect stays
 observable and is reported by TransientLaw.mass_defect; `tail_probability`
@@ -22,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Container, Iterator
 
 import numpy as np
 
@@ -78,12 +85,14 @@ def transient_law(
     schedule,
     arithmetic: str = FLOAT,
     horizon_budget: int = DEFAULT_HORIZON_BUDGET,
+    steps: Container[int] | None = None,
 ) -> Iterator[TransientLaw]:
-    """Yield the law of S_n for n = 0, 1, ..., horizon.
+    """Yield the law of S_n for n = 0, 1, ..., horizon, or only for the n in
+    `steps`; each law is its own copy.
 
-    Float mode runs in O(horizon^2) time and O(horizon) memory; rational
-    mode is exact but limited to horizon <= 64.  Validation, of the horizon
-    against the schedule too, is eager; the recursion itself is lazy.
+    Float mode runs in O(horizon * support) time and O(horizon) memory;
+    rational mode is exact but limited to horizon <= 64.  Validation, of the
+    horizon against the schedule too, is eager; the recursion itself is lazy.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -99,36 +108,59 @@ def transient_law(
             )
     elif arithmetic != FLOAT:
         raise ValueError(f"arithmetic must be {FLOAT!r} or {RATIONAL!r}")
-    return _transient(horizon, schedule.segments(horizon), arithmetic == RATIONAL)
+    return _transient(horizon, schedule.segments(horizon), arithmetic == RATIONAL, steps)
 
 
-def _step_table(s_max: int, a, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(p_down, p_up) for s in [0, s_max]: Fractions in object arrays when
-    exact, float64 otherwise."""
-    if not exact:
-        return step_prob_tables(s_max, a)
-    laws = [flat_step_distribution(s, a) for s in range(s_max + 1)]
-    return (np.array([law.p_down for law in laws], dtype=object),
-            np.array([law.p_up for law in laws], dtype=object))
+def _step_tables(s_max: int, a, exact: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_down, p_up, stay) for s in [0, s_max]: Fractions in object arrays
+    when exact, float64 otherwise."""
+    if exact:
+        laws = [flat_step_distribution(s, a) for s in range(s_max + 1)]
+        p_down = np.array([law.p_down for law in laws], dtype=object)
+        p_up = np.array([law.p_up for law in laws], dtype=object)
+    else:
+        p_down, p_up = step_prob_tables(s_max, a)
+    return p_down, p_up, 1 - p_down - p_up
 
 
-def _transient(horizon: int, segments, exact: bool) -> Iterator[TransientLaw]:
-    mass = np.array([Fraction(1) if exact else 1.0], dtype=object if exact else np.float64)
-    yield TransientLaw(n=0, mass=mass.tolist() if exact else mass.copy())
-    tables = {}
-    for steps, a in segments:
-        a = Fraction(a) if exact else float(a)
-        if a not in tables:
-            tables[a] = _step_table(horizon, a, exact)
-        p_down, p_up = tables[a]
-        for _ in range(steps):
-            width = len(mass)
-            new = np.zeros(width + 1, dtype=mass.dtype)
-            new[:width] = mass * (1 - p_down[:width] - p_up[:width])
-            new[1:] += mass * p_up[:width]
-            new[:-2] += (mass * p_down[:width])[1:]
-            mass = new
-            yield TransientLaw(n=width, mass=mass.tolist() if exact else mass.copy())
+def _transient(horizon: int, segments, exact: bool,
+               steps: Container[int] | None) -> Iterator[TransientLaw]:
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    cur, nxt, prod = (np.full(horizon + 2, zero, dtype=object if exact else np.float64)
+                      for _ in range(3))
+    cur[0] = one
+    top, stale = 0, 0  # bounds on the nonzero entries of cur and of nxt
+    n = 0
+    if steps is None or n in steps:
+        yield _copy_law(n, cur, exact)
+    for count, a in segments:
+        # the support grows by at most one entry per step
+        p_down, p_up, stay = _step_tables(top + count, Fraction(a) if exact else float(a), exact)
+        for _ in range(count):
+            # stay, then up, then down, as the full-width update adds them;
+            # above top + 1 all three terms are zero
+            w = top + 1
+            np.multiply(cur[:w], stay[:w], out=nxt[:w])
+            nxt[w] = zero
+            np.multiply(cur[:w], p_up[:w], out=prod[:w])
+            np.add(nxt[1:w + 1], prod[:w], out=nxt[1:w + 1])
+            np.multiply(cur[1:w], p_down[1:w], out=prod[:w - 1])
+            np.add(nxt[:w - 1], prod[:w - 1], out=nxt[:w - 1])
+            nxt[w + 1:stale + 1] = zero
+            stale = top
+            top = w
+            while top and nxt[top] == 0:
+                top -= 1
+            cur, nxt = nxt, cur
+            n += 1
+            if steps is None or n in steps:
+                yield _copy_law(n, cur, exact)
+        del p_down, p_up, stay  # before the next segment's tables are built
+
+
+def _copy_law(n: int, buf: np.ndarray, exact: bool) -> TransientLaw:
+    """The law of S_n held in the first n + 1 entries of a DP buffer."""
+    return TransientLaw(n=n, mass=buf[:n + 1].tolist() if exact else buf[:n + 1].copy())
 
 
 def law_at(
@@ -137,10 +169,8 @@ def law_at(
     arithmetic: str = FLOAT,
     horizon_budget: int = DEFAULT_HORIZON_BUDGET,
 ) -> TransientLaw:
-    """The law of S_horizon only (still O(horizon^2) work, O(horizon) memory)."""
-    law = None
-    for law in transient_law(horizon, schedule, arithmetic, horizon_budget):
-        pass
+    """The law of S_horizon only (O(horizon * support) work, O(horizon) memory)."""
+    (law,) = transient_law(horizon, schedule, arithmetic, horizon_budget, steps={horizon})
     return law
 
 
@@ -176,20 +206,9 @@ def event_probability(
 
 
 def phase_ends(schedule, horizon: int) -> set[int]:
-    """The phase ends N_i <= horizon: the cumulative step counts of the
-    schedule's segments, less a last one that cuts its phase."""
-    ends = accumulate(steps for steps, _ in schedule.segments(horizon))
-    return {n for i, n in enumerate(ends, 1) if n == schedule.N(i)}
-
-
-def law_csv_rows(laws: Iterable[TransientLaw], boundaries: set[int] | None = None):
-    """(n, s, mass) rows for every law, or only for those whose n is in
-    `boundaries`; zero masses are left out."""
-    yield ("n", "s", "mass")
-    for law in laws:
-        if boundaries is not None and law.n not in boundaries:
-            continue
-        for s, p in enumerate(law.mass):
-            p = float(p)
-            if p != 0.0:
-                yield (law.n, s, p)
+    """The phase ends N_i <= horizon, up to the schedule's last phase."""
+    ends, i = set(), 1
+    while (schedule.n_phases is None or i <= schedule.n_phases) and schedule.N(i) <= horizon:
+        ends.add(schedule.N(i))
+        i += 1
+    return ends

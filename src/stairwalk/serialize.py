@@ -61,3 +61,19 @@ def dump_csv(rows, path: str | Path):
         writer = csv.writer(fp)
         for row in rows:
             writer.writerow([fmt_real(v) for v in row])
+
+
+def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
+    """Write (n, s, mass) rows for every law of S_n, or only for those whose
+    n is in `boundaries`, leaving out zero masses; rational masses go out as
+    floats.  The bytes are those of `dump_csv` on the same rows, but each
+    law's rows are formatted in one join over its nonzero entries."""
+    with open(path, "w", newline="") as fp:
+        fp.write("n,s,mass\r\n")
+        for law in laws:
+            if boundaries is not None and law.n not in boundaries:
+                continue
+            mass = np.asarray(law.mass, dtype=np.float64)
+            support = np.flatnonzero(mass)
+            fp.write("".join([f"{law.n},{s},{m:.17g}\r\n"
+                              for s, m in zip(support.tolist(), mass[support].tolist())]))

@@ -179,6 +179,10 @@ def test_dp_horizon_past_last_phase(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "horizon 9" in lines[0]
     assert not law_csv.exists()
+    # the rational budget is checked before the schedule's end
+    assert main(["dp", "--schedule", str(path), "--horizon", "70", "--arithmetic",
+                 "rational", "--boundaries-only", "--out", str(law_csv)]) == 2
+    assert not law_csv.exists()
 
 
 def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 """Dynamic-programming transient laws vs. hand values and path enumeration."""
 
 import contextlib
+import csv
 import hashlib
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,9 @@ from stairwalk import (
     user_schedule,
 )
 from stairwalk.cli import main
-from stairwalk.oracle import law_csv_rows, phase_ends
+from stairwalk.kernel import step_prob_tables
+from stairwalk.oracle import phase_ends
+from stairwalk.serialize import dump_csv, dump_law_csv
 
 
 @pytest.fixture(scope="module")
@@ -153,15 +157,123 @@ def test_budget_errors(a8_schedule, scaled_schedule):
     assert law.n == 70
 
 
-def test_law_csv_rows(scaled_schedule):
-    rows = list(law_csv_rows(transient_law(5, scaled_schedule)))
-    assert rows[0] == ("n", "s", "mass")
+def _csv_rows(path):
+    with open(path, newline="") as fp:
+        return list(csv.reader(fp))
+
+
+def test_law_csv_rows(scaled_schedule, tmp_path):
+    path = tmp_path / "law.csv"
+    dump_law_csv(transient_law(5, scaled_schedule), path)
+    rows = _csv_rows(path)
+    assert rows[0] == ["n", "s", "mass"]
     assert all(len(r) == 3 for r in rows[1:])
     n1 = scaled_schedule.N(1)
-    rows_b = list(
-        law_csv_rows(transient_law(n1, scaled_schedule), phase_ends(scaled_schedule, n1))
-    )
-    assert {r[0] for r in rows_b[1:]} == {n1}
+    dump_law_csv(transient_law(n1, scaled_schedule), path, phase_ends(scaled_schedule, n1))
+    rows_b = _csv_rows(path)
+    assert {int(r[0]) for r in rows_b[1:]} == {n1}
+
+
+def _law_csv_rows(laws, boundaries=None):
+    """The law CSV's rows as `dump_csv` wrote them before `dump_law_csv`:
+    the reference that writer must match byte for byte."""
+    yield ("n", "s", "mass")
+    for law in laws:
+        if boundaries is not None and law.n not in boundaries:
+            continue
+        for s, p in enumerate(law.mass):
+            p = float(p)
+            if p != 0.0:
+                yield (law.n, s, p)
+
+
+def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_path):
+    user = user_schedule(scaled_profile(), [5, 7, 9, 40],
+                         [8.0, 10.0, Fraction(25, 2), 20.0], [3, 6, 10, 20])
+    cases = [
+        (user, 40, "float", None),
+        (user, 30, "rational", None),
+        (scaled_schedule, 64, "rational", None),
+        (scaled_schedule, 1000, "float", {0, 1, 770, 771, 772, 1000}),
+        # past step ~1075, zero masses sit above the support
+        (paper_schedule, 1500, "float", {0, 1100, 1499, 1500}),
+    ]
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    for sched, horizon, arithmetic, steps in cases:
+        laws = list(transient_law(horizon, sched, arithmetic, steps=steps))
+        for boundaries in (None, phase_ends(sched, horizon) | {horizon}, set()):
+            dump_law_csv(laws, fast, boundaries)
+            dump_csv(_law_csv_rows(laws, boundaries), slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
+
+def _full_width_laws(horizon, schedule):
+    """The float DP's update as it ran before the support window, over the
+    whole width n + 1 at every step with a fresh array per step: the
+    reference the windowed, in-place engine must match bit for bit."""
+    mass = np.array([1.0])
+    yield mass
+    for steps, a in schedule.segments(horizon):
+        p_down, p_up = step_prob_tables(horizon, a)
+        for _ in range(steps):
+            width = len(mass)
+            new = np.zeros(width + 1)
+            new[:width] = mass * (1 - p_down[:width] - p_up[:width])
+            new[1:] += mass * p_up[:width]
+            new[:-2] += (mass * p_down[:width])[1:]
+            mass = new
+            yield mass
+
+
+def test_windowed_dp_matches_full_width(scaled_schedule, paper_schedule):
+    for sched, horizons in ((scaled_schedule, [0, 1, 770, 771, 772, 1100, 3000, 6000]),
+                            (paper_schedule, [1074, 1100, 2500])):
+        reference = {n: m for n, m in enumerate(_full_width_laws(max(horizons), sched))
+                     if n in horizons}
+        for horizon in horizons:
+            assert law_at(horizon, sched).mass.tobytes() == reference[horizon].tobytes()
+    # every law of the stream, across the underflow of the law's top
+    for law, mass in zip(transient_law(1300, paper_schedule),
+                         _full_width_laws(1300, paper_schedule), strict=True):
+        assert law.mass.tobytes() == mass.tobytes()
+
+
+def test_law_at_memory(scaled_schedule):
+    """law_at keeps two laws, a scratch buffer and one segment's step
+    tables, not a full-width table per adaptation value."""
+    tracemalloc.start()
+    try:
+        law_at(2 * 10**4, scaled_schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_requested_steps_match_full_stream(data):
+    """transient_law(..., steps=S) yields the full stream's laws at S, in
+    both arithmetics."""
+    k = data.draw(st.integers(1, 4), label="phases")
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k), label="lengths")
+    a_rest = data.draw(st.lists(
+        st.fractions(min_value=8, max_value=1000, max_denominator=1000),
+        min_size=k - 1, max_size=k - 1), label="a")
+    sched = user_schedule(scaled_profile(), lengths, [Fraction(8)] + sorted(a_rest),
+                          list(range(1, k + 1)))
+    horizon = data.draw(st.integers(0, min(30, sum(lengths))), label="horizon")
+    steps = data.draw(st.sets(st.integers(-1, horizon + 2)), label="steps")
+    for arithmetic in ("float", "rational"):
+        full = [law for law in transient_law(horizon, sched, arithmetic) if law.n in steps]
+        asked = list(transient_law(horizon, sched, arithmetic, steps=steps))
+        assert [law.n for law in asked] == [law.n for law in full]
+        for got, want in zip(asked, full):
+            if arithmetic == "float":
+                assert got.mass.tobytes() == want.mass.tobytes()
+            else:
+                assert got.mass == want.mass
+                assert all(isinstance(p, Fraction) for p in got.mass)
 
 
 @settings(max_examples=60, deadline=None)
