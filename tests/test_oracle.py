@@ -175,8 +175,9 @@ def test_law_csv_rows(scaled_schedule, tmp_path):
 
 
 def _law_csv_rows(laws, boundaries=None):
-    """The law CSV's rows as `dump_csv` wrote them before `dump_law_csv`:
-    the reference that writer must match byte for byte."""
+    """The law CSV's rows, for `dump_csv` to format cell by cell through
+    csv.writer and fmt_real: the reference `dump_law_csv` must match byte
+    for byte."""
     yield ("n", "s", "mass")
     for law in laws:
         if boundaries is not None and law.n not in boundaries:
@@ -208,8 +209,8 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
 
 
 def _full_width_laws(horizon, schedule):
-    """The float DP's update as it ran before the support window, over the
-    whole width n + 1 at every step with a fresh array per step: the
+    """The float DP's three-term update over the whole width n + 1 at every
+    step, with a fresh array per step and tables over [0, horizon]: the
     reference the windowed, in-place engine must match bit for bit."""
     mass = np.array([1.0])
     yield mass
