@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -225,6 +226,30 @@ def test_feasibility_command(user_file, scaled_file, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["first_violation"]["i"] == 2
     assert "first violation at phase 2" in capsys.readouterr().out
+
+
+# sha256 of the JSON and CSV that `stairwalk feasibility` writes for the
+# exact paper schedule, the float scaled one and a user-designed one.
+GOLDEN_FEASIBILITY = {
+    "paper_300": "083d664ea3a65f34ecee2f521bae31e993d8542cfee540a29306debf0d014f08",
+    "scaled_300": "fa658df79b53089fa45024cf11f2fe25178ca70348d2b6ef781047d8069cc1e0",
+    "steady_10": "3cfa366e80431052388156ce3c0e9c9bef5aa7cda0276d6327e6b6de8048875a",
+}
+
+
+def test_golden_feasibility(paper_schedule, scaled_file, tmp_path):
+    paper, steady = tmp_path / "paper.json", tmp_path / "steady.json"
+    paper.write_text(paper_schedule.to_json())
+    steady.write_text(steady_drift_schedule(10, sigma=0.01).to_json())
+    runs = {"paper_300": (paper, 300), "scaled_300": (scaled_file, 300),
+            "steady_10": (steady, 10)}
+    got = {}
+    for name, (path, i_max) in runs.items():
+        out, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert main(["feasibility", "--schedule", str(path), "--i-max", str(i_max),
+                     "--out", str(out), "--csv", str(csv_path)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes() + csv_path.read_bytes()).hexdigest()
+    assert got == GOLDEN_FEASIBILITY
 
 
 def test_control_command(tmp_path, capsys):
