@@ -56,37 +56,87 @@ class ZDistribution:
 
 
 def _c_b(i: int, a: Number, slack: Number) -> tuple[Number, Number]:
+    """c_i and b_i in float arithmetic (the exact form is `_c_b_ratio`)."""
     d = i * i + (i - 1) * (i - 1)
     c = (a - 8) / (2 * a) * (i * i) / d + slack
     b = (a + 8) / (2 * a) * ((i - 1) * (i - 1)) / d - slack
     return c, b
 
 
+def _c_b_ratio(i: int, a: Number) -> tuple[int, int, int]:
+    """Exact (c, b, den) with den > 0, c_i = c/den and b_i = b/den at zero
+    slack, so that (b - c)/den is C2's left side.
+
+    With a = p/q both masses are taken over the common denominator 2 p D_i
+    in integer arithmetic, with no normalisation:
+
+        c = (p - 8q) i^2        b = (p + 8q) (i-1)^2
+
+    The integer ratio of a float is exact too.  With `_add_slack` this is
+    the one exact formula for Z_i and its mean (`_is_exact` says when Z_i
+    uses it).
+    """
+    p, q = a.as_integer_ratio()
+    if p == 0:
+        raise ZeroDivisionError(f"a_{i} = 0")
+    c, b = (p - 8 * q) * (i * i), (p + 8 * q) * ((i - 1) * (i - 1))
+    den = 2 * p * (i * i + (i - 1) * (i - 1))
+    return (c, b, den) if den > 0 else (-c, -b, -den)
+
+
+def _add_slack(c: int, b: int, den: int, slack: Number) -> tuple[int, int, int]:
+    """(c, b, den) of c/den + slack and b/den - slack, exactly."""
+    sn, sd = slack.as_integer_ratio()
+    return c * sd + sn * den, b * sd - sn * den, den * sd
+
+
+def _is_exact(a: Number, slack: Number) -> bool:
+    """Whether c_i and b_i at (a, slack) are rationals rather than floats."""
+    return isinstance(a, Fraction) and isinstance(slack, (int, Fraction))
+
+
 def dominated_drift(i: int, a: Number, slack: Number) -> Number:
     """Mean b_i - c_i of the dominated step variable, without building it."""
+    if _is_exact(a, slack):
+        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
+        return Fraction(b - c, den)
     c, b = _c_b(i, a, slack)
     return b - c
 
 
-def z_distribution(i: int, schedule) -> ZDistribution:
-    """The dominated step variable of phase i under the given schedule."""
+def _phase_a(i: int, schedule) -> Number:
+    """a_i of a phase i >= 2, with ints promoted so that Z_i stays exact."""
     if i < 2:
         raise ValueError("Z is only defined for phases i >= 2")
     a = schedule.a_of_phase(i)
-    if isinstance(a, int):
-        a = Fraction(a)
-    c, b = _c_b(i, a, schedule.profile.slack)
+    return Fraction(a) if isinstance(a, int) else a
+
+
+def z_distribution(i: int, schedule) -> ZDistribution:
+    """The dominated step variable of phase i under the given schedule."""
+    a, slack = _phase_a(i, schedule), schedule.profile.slack
+    if _is_exact(a, slack):
+        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
+        return ZDistribution(i=i, c=Fraction(c, den), b=Fraction(b, den),
+                             stay=Fraction(den - c - b, den))
+    c, b = _c_b(i, a, slack)
     return ZDistribution(i=i, c=c, b=b, stay=1 - c - b)
 
 
 def mean_z(i: int, schedule) -> Number:
     """E(Z_i) = b_i - c_i in the schedule's arithmetic."""
-    if i < 2:
-        raise ValueError("Z is only defined for phases i >= 2")
-    a = schedule.a_of_phase(i)
-    if isinstance(a, int):
-        a = Fraction(a)
-    return dominated_drift(i, a, schedule.profile.slack)
+    return dominated_drift(i, _phase_a(i, schedule), schedule.profile.slack)
+
+
+def _float_mean_z(i: int, schedule) -> float:
+    """float(mean_z(i, schedule)), with no Fraction built: int / int rounds
+    correctly, as float(Fraction) does."""
+    a, slack = _phase_a(i, schedule), schedule.profile.slack
+    if _is_exact(a, slack):
+        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
+        return (b - c) / den
+    c, b = _c_b(i, a, slack)
+    return float(b - c)
 
 
 # ======================================================================
@@ -124,21 +174,25 @@ def domination_margins(
     """
     if x_lo < i:
         raise ValueError(f"domination is only claimed for x >= i, got x_lo={x_lo}")
-    z = z_distribution(i, schedule)
-    return _margins(float(z.c), float(z.b), float(schedule.a_of_phase(i)), x_lo, x_hi)
-
-
-def _margins(c: float, b: float, a: float, x_lo: int, x_hi: int):
-    """:func:`domination_margins` of the law (c, b) against steps at a."""
     if x_hi < x_lo:
         raise ValueError("empty height range")
+    z = z_distribution(i, schedule)
     x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
+    return _margins(float(z.c), float(z.b), float(schedule.a_of_phase(i)), x)
+
+
+def _margins(c, b, a, x: np.ndarray):
+    """:func:`domination_margins` of the law (c, b) against steps at a, over
+    the heights x.  c, b and a are floats, or float arrays with one entry
+    per height."""
+    def rows(v):  # one entry per row
+        return np.repeat(v, 2) if np.ndim(v) else v
+
     s = np.empty(2 * len(x), dtype=np.int64)
     s[0::2] = 2 * (x - 1)   # diagonal
     s[1::2] = 2 * x - 3     # sub-diagonal
-    p_down, p_up = flat_step_probs_at(s, a)
-    xs = np.repeat(x, 2)
-    return xs, c - p_down, p_up - b
+    p_down, p_up = flat_step_probs_at(s, rows(a))
+    return rows(x), rows(c) - p_down, p_up - rows(b)
 
 
 def check_domination(i: int, schedule, x_lo: int, x_hi: int) -> DominationReport:

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -244,7 +245,14 @@ class PhaseSchedule:
         if i == 1:
             return self.profile.phase1_a
         mu, off = self.profile.drift_target, self.profile.a_offset
-        return 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
+        k = 8 * (2 * i * i + 1 - 2 * i)
+        if isinstance(mu, Fraction) and isinstance(off, (int, Fraction)):
+            # the same rational, normalised once: with mu = m/n and off = u/v,
+            # k/(2i - 1 + mu) - off = (k n v - u d)/(d v), d = (2i - 1) n + m
+            (m, n), (u, v) = mu.as_integer_ratio(), off.as_integer_ratio()
+            d = (2 * i - 1) * n + m
+            return Fraction(k * n * v - u * d, d * v)
+        return k / (2 * i - 1 + mu) - off
 
     def threshold(self, i: int) -> Number:
         self._check_phase(i)
@@ -590,17 +598,17 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
     full phase of -1 steps cannot drop the walk below height i.
     Infeasibility is reported, not raised.
     """
-    from .domination import mean_z  # deferred: domination builds on schedules
+    from .domination import _float_mean_z  # deferred: domination builds on schedules
 
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    K = schedule.profile.hoeffding_K
+    indices = range(2, i_max + 1)
+    lengths = [schedule.length(i) for i in indices]
+    drifts = [_float_mean_z(i, schedule) for i in indices]
+    gains = concentration_gain(lengths, np.array(drifts), schedule.profile.hoeffding_K)
     phases = []
     first = None
-    for i in range(2, i_max + 1):
-        L = schedule.length(i)
-        drift = float(mean_z(i, schedule))
-        gain = concentration_gain(L, drift, K)
+    for i, L, drift, gain in zip(indices, lengths, drifts, gains.tolist()):
         required = float(schedule.required_gain(i))
         height = float(schedule.threshold(i - 1)) - L - (2 * i - 2)
         reason = None
@@ -615,7 +623,7 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
             first = (i, reason)
         phases.append(
             PhaseFeasibility(
-                i=i, drift=drift, gain=float(gain), required_gain=required,
+                i=i, drift=drift, gain=gain, required_gain=required,
                 height_margin=height, ok=ok, reason=reason,
             )
         )

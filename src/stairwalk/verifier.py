@@ -3,9 +3,9 @@
 Each claim is checked as stated, over an explicit finite range, and the
 verdict is whatever the arithmetic yields; failures are reported with
 witnesses, never repaired.  Exactness matters near boundaries, so C1-C4
-and C6-C8 run in rational/integer arithmetic; the grid-shaped C5 runs in
-floating point with a 1e-12 guard (its margins are >= the slack constant,
-many orders of magnitude above rounding).
+and C6-C8 run in rational/integer arithmetic; C5 runs in floating point
+with a 1e-12 guard (its margins are >= the slack constant, many orders of
+magnitude above rounding).
 
 Claims:
     C1  adaptation sequence requirements (>= 8, increasing, diverging)
@@ -20,9 +20,26 @@ Claims:
     C8  phase-1 law facts at a = 8
 
 C1-C6 read one per-phase record, built once per audit and only as far as
-the claims run read it: exact a_i, the law Z_i in the profile's arithmetic
-(so C4 and C5 see float masses under a float profile), and the C2 left side
-exact from a_i.
+the claims run read it: a_i as the schedule gives it; c_i and b_i at zero
+slack as integers over one positive denominator, exact from a_i's integer
+ratio (b_i - c_i over it is the C2 left side); and the law Z_i in the
+profile's arithmetic: the same integers with the slack added under an exact
+profile, the exact ratios of the float masses under a float profile.  C2-C4
+compare these integers by cross-multiplication and build a Fraction only for
+a witness.
+
+C5 is evaluated at x = i only, so its cost does not depend on the depth.
+By C7, x^2/D_x falls and (x-1)^2/D_x rises with x, so the diagonal p_down
+and the sub-diagonal p_up are monotone in x, while the sub-diagonal
+p_down = 1/4 - 2/a_i and the diagonal p_up = 1/4 + 2/a_i do not depend on
+x.  Each margin's smallest value over x in [i, i + depth] therefore lies in
+a row at x = i, and np.argmin's first such row is at x = i (when
+1/2 - 4/a_i < 0 the diagonal c margins fall towards the constant row
+instead, but stay above it, since x^2/D_x > 1/2).  In float64 the monotone rows keep that order
+while their step between neighbouring heights, about 1/x^2 relative, is
+larger than their few-ulp rounding, which holds for x up to about 2e7; up to
+there the two rows at x = i give the height grid's doubles, argmin rows and
+witnesses bit for bit.  The tests keep the grid as a reference.
 
 C2 and C3 are linked: E(Z_i) equals the C2 left side minus twice the slack,
 so whenever C2 holds at i, C3's target holds there too.  audit_all records
@@ -31,14 +48,22 @@ that cross-check explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import PAPER_LITERAL
-from .domination import _margins, dominated_drift, z_distribution
+from .core import PAPER_LITERAL, Number
+from .domination import (
+    ZDistribution,
+    _add_slack,
+    _c_b_ratio,
+    _is_exact,
+    _margins,
+    z_distribution,
+)
 from .kernel import flat_step_distribution, monotonicity_violation
 
 HOLDS = "holds"
@@ -98,8 +123,8 @@ class AuditReport:
         }
 
 
-def _num(x: Fraction) -> dict:
-    return {"exact": str(x), "float": float(x)}
+def _num(x: Number) -> dict:
+    return {"exact": str(Fraction(x)), "float": float(x)}
 
 
 def _prefix_verdict(first_bad: int | None, first_index: int, witness: dict | None):
@@ -118,7 +143,8 @@ def _prefix_verdict(first_bad: int | None, first_index: int, witness: dict | Non
 @dataclass
 class _PhaseRecord:
     """Per-phase quantities of phases 1..i_max, keyed by phase.  Each column
-    is built on its first read and shared by every claim that reads it."""
+    is built on its first read and shared by every claim that reads it.
+    Exact quantities are integer ratios over a positive denominator."""
 
     schedule: object
     i_max: int
@@ -129,19 +155,38 @@ class _PhaseRecord:
 
     @cached_property
     def a(self) -> dict:
-        """Exact a_i for i >= 1."""
+        """a_i for i >= 1 as the schedule gives it: a Fraction under an
+        exact profile, a float under a float one."""
         a_of_phase = self.schedule.a_of_phase
-        return {i: Fraction(a_of_phase(i)) for i in range(1, self.i_max + 1)}
+        return {i: a_of_phase(i) for i in range(1, self.i_max + 1)}
+
+    @cached_property
+    def z0(self) -> dict:
+        """(c, b, den) of c_i and b_i at zero slack for i >= 2, exact from
+        a_i: (b - c)/den is C2's left side."""
+        return {i: _c_b_ratio(i, self.a[i]) for i in self.phases}
 
     @cached_property
     def z(self) -> dict:
-        """The law Z_i for i >= 2, in the profile's arithmetic."""
-        return {i: z_distribution(i, self.schedule) for i in self.phases}
-
-    @cached_property
-    def lhs(self) -> dict:
-        """C2's left side for i >= 2: b_i - c_i at zero slack, exact."""
-        return {i: dominated_drift(i, self.a[i], 0) for i in self.phases}
+        """The law Z_i for i >= 2 as (c, b, den), with c_i = c/den and
+        b_i = b/den, in the profile's arithmetic: float masses under a float
+        profile, by their exact ratios.  Raises ZDistribution's ValueError
+        at the first phase whose Z_i is not a law."""
+        slack = self.schedule.profile.slack
+        out = {}
+        for i in self.phases:
+            if _is_exact(self.a[i], slack):
+                c, b, den = _add_slack(*self.z0[i], slack)
+                if not (c >= 0 and b >= 0 and c + b <= den):
+                    ZDistribution(i, Fraction(c, den), Fraction(b, den),
+                                  Fraction(den - c - b, den))  # raises
+            else:
+                z = z_distribution(i, self.schedule)
+                (c, c_den), (b, b_den) = z.c.as_integer_ratio(), z.b.as_integer_ratio()
+                den = math.lcm(c_den, b_den)
+                c, b = c * (den // c_den), b * (den // b_den)
+            out[i] = (c, b, den)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +199,14 @@ def check_c1(rec: _PhaseRecord) -> ClaimResult:
     if rec.a[1] != 8:
         first_bad, witness = 1, {"i": 1, "a": _num(rec.a[1])}
     else:
+        prev = None
         for i in rec.phases:
-            a = rec.a[i]
-            if not (a >= 8 and a >= 4 * i and (i == 2 or a > rec.a[i - 1])):
-                first_bad, witness = i, {"i": i, "a": _num(a)}
+            p, q = rec.a[i].as_integer_ratio()
+            # a_i >= 8, a_i >= 4i and a_i > a_{i-1}, over positive denominators
+            if not (p >= 8 * q and p >= 4 * i * q and (i == 2 or p * prev[1] > prev[0] * q)):
+                first_bad, witness = i, {"i": i, "a": _num(rec.a[i])}
                 break
+            prev = p, q
     verdict, witness = _prefix_verdict(first_bad, 1, witness)
     return ClaimResult(
         claim_id="C1",
@@ -179,13 +227,14 @@ def check_c1(rec: _PhaseRecord) -> ClaimResult:
 
 def check_c2(rec: _PhaseRecord) -> ClaimResult:
     target = Fraction(rec.schedule.profile.drift_target)
+    tn, td = target.as_integer_ratio()
     first_bad, witness = None, None
     holds_at = 0
-    for i in rec.phases:
-        if rec.lhs[i] > target:
+    for i, (c, b, den) in rec.z0.items():
+        if (b - c) * td > tn * den:
             holds_at += 1
         elif first_bad is None:
-            first_bad, witness = i, {"i": i, "lhs": _num(rec.lhs[i])}
+            first_bad, witness = i, {"i": i, "lhs": _num(Fraction(b - c, den))}
     verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
         claim_id="C2",
@@ -201,19 +250,23 @@ def check_c2(rec: _PhaseRecord) -> ClaimResult:
 
 
 def check_c3(rec: _PhaseRecord) -> ClaimResult:
+    # E(Z_i) = lhs_i - 2*slack exactly, so each bound on the mean is the
+    # same bound, shifted by 2*slack, on the C2 left side
     profile = rec.schedule.profile
     twice_slack = 2 * Fraction(profile.slack)
-    mean_target = Fraction(profile.drift_target) - twice_slack
-    floor = Fraction(profile.drift_floor)
+    (tn, td), (fn, fd), (zn, zd) = (r.as_integer_ratio() for r in (
+        Fraction(profile.drift_target), Fraction(profile.drift_floor) + twice_slack,
+        twice_slack))
     first_bad, witness = None, None
     last_ge_floor = last_positive = None
-    for i in rec.phases:
-        mean = rec.lhs[i] - twice_slack  # == E(Z_i), exact
-        if mean < mean_target and first_bad is None:
-            first_bad, witness = i, {"i": i, "mean": _num(mean)}
-        if mean >= floor:
+    for i, (c, b, den) in rec.z0.items():
+        num = b - c
+        if num * td < tn * den and first_bad is None:
+            first_bad = i
+            witness = {"i": i, "mean": _num(Fraction(num, den) - twice_slack)}
+        if num * fd >= fn * den:
             last_ge_floor = i
-        if mean > 0:
+        if num * zd > zn * den:
             last_positive = i
     boundaries = {
         "largest_i_mean_ge_drift_floor": last_ge_floor,
@@ -241,14 +294,15 @@ def check_c3(rec: _PhaseRecord) -> ClaimResult:
 
 
 def check_c4(rec: _PhaseRecord) -> ClaimResult:
-    c_cap = Fraction(2, 5) + Fraction(rec.schedule.profile.slack)
-    b_cap = Fraction(9, 20)
+    cn, cd = (Fraction(2, 5) + Fraction(rec.schedule.profile.slack)).as_integer_ratio()
     first_bad, witness = None, None
-    for i in rec.phases:
-        a, c, b = rec.a[i], Fraction(rec.z[i].c), Fraction(rec.z[i].b)
-        if not (c <= c_cap and b < b_cap and a > 10):
+    for i, (c, b, den) in rec.z.items():
+        p, q = rec.a[i].as_integer_ratio()
+        # c_i <= c_cap, b_i < 9/20 and a_i > 10, over positive denominators
+        if not (c * cd <= cn * den and 20 * b < 9 * den and p > 10 * q):
             first_bad = i
-            witness = {"i": i, "c": _num(c), "b": _num(b), "a": _num(a)}
+            witness = {"i": i, "c": _num(Fraction(c, den)),
+                       "b": _num(Fraction(b, den)), "a": _num(rec.a[i])}
             break
     verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
@@ -269,25 +323,23 @@ def check_c4(rec: _PhaseRecord) -> ClaimResult:
 
 
 def check_c5(rec: _PhaseRecord, x_depth: int) -> ClaimResult:
-    min_c = min_b = np.inf
-    arg_c = arg_b = None
+    # Every margin's first minimum over x in [i, i + x_depth] is in a row at
+    # x = i (see the module docstring), so only those two rows are evaluated.
+    laws = rec.z.values()
+    c = np.array([c / den for c, _, den in laws])
+    b = np.array([b / den for _, b, den in laws])
+    a = np.array([float(rec.a[i]) for i in rec.phases])
+    x = np.arange(2, rec.i_max + 1, dtype=np.int64)
+    _, c_m, b_m = _margins(c, b, a, x)
+    kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))
+    c_min, b_min = c_m.reshape(-1, 2).min(axis=1), b_m.reshape(-1, 2).min(axis=1)
+    bad = np.flatnonzero((c_min < -_GUARD) | (b_min < -_GUARD))
     first_bad, witness = None, None
-    for i in rec.phases:
-        z = rec.z[i]
-        xs, c_m, b_m = _margins(float(z.c), float(z.b), float(rec.a[i]), i, i + x_depth)
-        kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))
-        if c_m[kc] < min_c:
-            min_c, arg_c = float(c_m[kc]), (i, int(xs[kc]))
-        if b_m[kb] < min_b:
-            min_b, arg_b = float(b_m[kb]), (i, int(xs[kb]))
-        if (c_m[kc] < -_GUARD or b_m[kb] < -_GUARD) and first_bad is None:
-            first_bad = i
-            witness = {
-                "i": i,
-                "x": int(xs[kc if c_m[kc] < b_m[kb] else kb]),
-                "c_margin": float(c_m[kc]),
-                "b_margin": float(b_m[kb]),
-            }
+    if len(bad):
+        k = int(bad[0])
+        first_bad = int(x[k])
+        witness = {"i": first_bad, "x": first_bad,
+                   "c_margin": float(c_min[k]), "b_margin": float(b_min[k])}
     verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
         claim_id="C5",
@@ -299,10 +351,10 @@ def check_c5(rec: _PhaseRecord, x_depth: int) -> ClaimResult:
         verdict=verdict,
         witness=witness,
         details={
-            "min_c_margin": min_c,
-            "min_b_margin": min_b,
-            "argmin_c": list(arg_c) if arg_c else None,
-            "argmin_b": list(arg_b) if arg_b else None,
+            "min_c_margin": float(c_m[kc]),
+            "min_b_margin": float(b_m[kb]),
+            "argmin_c": [int(x[kc // 2])] * 2,
+            "argmin_b": [int(x[kb // 2])] * 2,
         },
     )
 
@@ -404,6 +456,17 @@ def check_c8(schedule, s_max: int = 10**6) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
+def _record(schedule, i_max: int, x_depth: int) -> _PhaseRecord:
+    """The per-phase record to audit, once the schedule and ranges are checked."""
+    if schedule.mode != PAPER_LITERAL:
+        raise ValueError("the audit interrogates rule-generated schedules only")
+    if i_max < 2:
+        raise ValueError(f"i_max must be >= 2, got {i_max}")
+    if x_depth < 0:
+        raise ValueError(f"x_depth must be >= 0, got {x_depth}")
+    return _PhaseRecord(schedule, i_max)
+
+
 def audit_all(
     schedule,
     i_max: int = 10**4,
@@ -412,19 +475,16 @@ def audit_all(
     s_phase1_max: int = 10**6,
 ) -> AuditReport:
     """Run every claim against a rule-generated schedule and cross-link C2/C3."""
-    if schedule.mode != PAPER_LITERAL:
-        raise ValueError("the audit interrogates rule-generated schedules only")
-    if i_max < 2:
-        raise ValueError("i_max must be >= 2")
-    rec = _PhaseRecord(schedule, i_max)
+    rec = _record(schedule, i_max, x_depth)
     ranges = {"x_depth": x_depth, "x_max": x_monotone_max, "s_max": s_phase1_max}
     claims = [_CHECKS[claim_id](rec, ranges) for claim_id in CLAIM_IDS]
     profile = schedule.profile
     target, twice_slack = Fraction(profile.drift_target), 2 * Fraction(profile.slack)
+    tn, td = target.as_integer_ratio()
     cross_links = {
         "c2_c3_consistent": all(
-            rec.lhs[i] - twice_slack > target - twice_slack
-            for i in rec.phases if rec.lhs[i] > target
+            Fraction(b - c, den) - twice_slack > target - twice_slack
+            for c, b, den in rec.z0.values() if (b - c) * td > tn * den
         ),
         "note": (
             "E(Z_i) equals the C2 left side minus 2*slack, so C2 holding at i "
@@ -445,7 +505,8 @@ def audit_single(claim_id: str, schedule, **ranges) -> ClaimResult:
     if claim_id not in _CHECKS:
         raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
     ranges = dict(i_max=10**4, x_depth=10**3, x_max=10**6, s_max=10**6) | ranges
-    return _CHECKS[claim_id](_PhaseRecord(schedule, ranges["i_max"]), ranges)
+    rec = _record(schedule, ranges["i_max"], ranges["x_depth"])
+    return _CHECKS[claim_id](rec, ranges)
 
 
 # Each claim's check, given the per-phase record and the ranges.  The lambdas

@@ -15,6 +15,7 @@ from stairwalk import (
     user_schedule,
 )
 from stairwalk.cli import main
+from stairwalk.verifier import CLAIM_IDS
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,19 @@ def test_audit_command_exit_zero_despite_findings(scaled_file, tmp_path, capsys)
     assert doc["verdicts"]["C2"] == "fails"  # findings do not change the exit code
     table = capsys.readouterr().out
     assert "C2" in table and "fails" in table and "verdict" in table
+
+
+def test_audit_huge_x_depth(scaled_file, tmp_path):
+    """C5's cost does not depend on the depth: at 2**31 - 1 it gives the
+    verdict and margins of depth 1000."""
+    c5 = {}
+    for depth in ("1000", "2147483647"):
+        out = tmp_path / f"audit-{depth}.json"
+        assert main(["audit", "--schedule", scaled_file, "--i-max", "5",
+                     "--x-depth", depth, "--out", str(out)]) == 0
+        claim = json.loads(out.read_text())["claims"][CLAIM_IDS.index("C5")]
+        c5[depth] = (claim["verdict"], claim["witness"], claim["details"])
+    assert c5["2147483647"] == c5["1000"]
 
 
 def test_simulate_command(user_file, tmp_path):
@@ -262,9 +276,16 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
-def test_usage_errors(user_file, tmp_path, capsys, monkeypatch):
+def test_usage_errors(user_file, scaled_file, tmp_path, capsys, monkeypatch):
     assert main(["schedule", "--sigma", "1.5"]) == 1       # invalid sigma
     assert main(["audit", "--schedule", "/nonexistent.json"]) == 1
+    # audit ranges: one error line naming the field
+    capsys.readouterr()
+    for flag, value in [("--x-depth", "-1"), ("--i-max", "1")]:
+        assert main(["audit", "--schedule", scaled_file, "--i-max", "5", flag, value]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        field = flag[2:].replace("-", "_")
+        assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
     # malformed schedule files: one error line naming the bad key, no traceback
     good = json.loads(Path(user_file).read_text())
     bad_row = dict(good, phases=[dict(good["phases"][0], length="60")])

@@ -1,10 +1,11 @@
 """Dominated step variables, CDF dominance, and the monotone coupling."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
     StepDistribution,
@@ -17,7 +18,7 @@ from stairwalk import (
     user_schedule,
     z_distribution,
 )
-from stairwalk.domination import dominated_drift, domination_margins
+from stairwalk.domination import _float_mean_z, dominated_drift, domination_margins
 
 
 def test_z_distribution_paper_i2(paper_schedule):
@@ -58,6 +59,31 @@ def test_mean_hits_target_for_solved_a(i, mu):
     a = 4 / (mu + Fraction(2 * i - 1, 2 * d))
     assert a > 8
     assert dominated_drift(i, a, Fraction(0)) == mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(i=st.integers(2, 10**6),
+       a=st.one_of(st.integers(8, 10**4),
+                   st.fractions(min_value=8, max_value=10**4, max_denominator=10**6),
+                   st.floats(min_value=8, max_value=1e4)),
+       slack=st.one_of(st.fractions(min_value=0, max_value=Fraction(1, 100),
+                                    max_denominator=10**5),
+                       st.floats(min_value=0, max_value=0.01)))
+def test_z_matches_fraction_chain(i, a, slack):
+    """Z_i and its mean, from integers when exact and in float otherwise,
+    are the chain c_i = (a-8)/(2a) i^2/D + slack and
+    b_i = (a+8)/(2a) (i-1)^2/D - slack in the inputs' arithmetic."""
+    schedule = SimpleNamespace(a_of_phase=lambda i: a, profile=SimpleNamespace(slack=slack))
+    a_ = Fraction(a) if isinstance(a, int) else a
+    d = i * i + (i - 1) * (i - 1)
+    c = (a_ - 8) / (2 * a_) * (i * i) / d + slack
+    b = (a_ + 8) / (2 * a_) * ((i - 1) * (i - 1)) / d - slack
+    z = z_distribution(i, schedule)
+    assert (z.c, z.b, z.stay) == (c, b, 1 - c - b)
+    assert type(z.c) is type(c)
+    mean = mean_z(i, schedule)
+    assert mean == b - c and type(mean) is type(b - c)
+    assert _float_mean_z(i, schedule) == float(b - c)
 
 
 def test_validity_bounds_along_rule_values(paper_schedule):

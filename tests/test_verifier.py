@@ -4,10 +4,14 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
+    ConstantsProfile,
     PhaseSchedule,
     audit_all,
     audit_single,
@@ -15,8 +19,17 @@ from stairwalk import (
     steady_drift_schedule,
     verifier,
 )
-from stairwalk.domination import dominated_drift
-from stairwalk.verifier import CLAIM_IDS, ClaimResult
+from stairwalk.core import PAPER_LITERAL
+from stairwalk.domination import ZDistribution, _margins, dominated_drift
+from stairwalk.kernel import flat_step_probs_at
+from stairwalk.verifier import (
+    CLAIM_IDS,
+    FAILS,
+    HOLDS,
+    AuditReport,
+    ClaimResult,
+    _prefix_verdict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +100,7 @@ def test_audit_single_custom_ranges(paper_schedule):
         audit_single("C99", paper_schedule)
 
 
-def test_audit_builds_each_phase_once(paper_schedule, monkeypatch):
+def test_audit_builds_each_phase_once(paper_schedule, scaled_schedule, monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -98,12 +111,33 @@ def test_audit_builds_each_phase_once(paper_schedule, monkeypatch):
 
     monkeypatch.setattr(verifier, "z_distribution", counted("z", verifier.z_distribution))
     monkeypatch.setattr(PhaseSchedule, "a_of_phase", counted("a", PhaseSchedule.a_of_phase))
+    # exact: a_1..a_300 once, and each Z_i from the record's integers
     audit_all(paper_schedule, i_max=300, x_depth=10)
-    # a_1..a_300 once, plus the one read inside each z_distribution
-    assert calls == {"a": 300 + 299, "z": 299}
-    calls.clear()
-    audit_single("C1", paper_schedule, i_max=300)
     assert calls == {"a": 300}
+    # float: a_1..a_300 once, plus the one read inside each z_distribution
+    calls.clear()
+    audit_all(scaled_schedule, i_max=300, x_depth=10)
+    assert calls == {"a": 300 + 299, "z": 299}
+    for schedule in (paper_schedule, scaled_schedule):
+        calls.clear()
+        audit_single("C1", schedule, i_max=300)
+        assert calls == {"a": 300}
+
+
+def test_audit_ranges_are_checked(paper_schedule):
+    for cid in ("C1", "C2", "C4", "C5"):
+        for i_max in (-1, 0, 1):
+            with pytest.raises(ValueError, match="i_max"):
+                audit_single(cid, paper_schedule, i_max=i_max)
+    with pytest.raises(ValueError, match="i_max"):
+        audit_all(paper_schedule, i_max=1)
+    with pytest.raises(ValueError, match="x_depth"):
+        audit_single("C5", paper_schedule, i_max=5, x_depth=-1)
+    with pytest.raises(ValueError, match="x_depth"):
+        audit_all(paper_schedule, i_max=5, x_depth=-1)
+    with pytest.raises(ValueError, match="rule-generated"):
+        audit_single("C1", steady_drift_schedule(3), i_max=3)
+    assert audit_single("C5", paper_schedule, i_max=5, x_depth=0).verdict == "holds"
 
 
 def test_c8_details(report):
@@ -173,3 +207,295 @@ def test_golden_audit(name, request):
         res = audit_single(cid, schedule, i_max=300, x_depth=100)
         got[cid] = _digest(res.to_jsonable())
     assert got == GOLDEN_AUDIT[name]
+
+
+# ----------------------------------------------------------------------
+# Reference: the Fraction-chain record and the per-phase height grid that
+# C1-C5 read before the record moved to integers and C5 to x = i.
+# ----------------------------------------------------------------------
+
+
+def _ref_c_b(i, a, slack):
+    d = i * i + (i - 1) * (i - 1)
+    c = (a - 8) / (2 * a) * (i * i) / d + slack
+    b = (a + 8) / (2 * a) * ((i - 1) * (i - 1)) / d - slack
+    return c, b
+
+
+def _ref_grid(c, b, a, x_lo, x_hi):
+    """(x, c_margins, b_margins) over [x_lo, x_hi], rows alternating
+    diagonal and sub-diagonal."""
+    x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
+    s = np.empty(2 * len(x), dtype=np.int64)
+    s[0::2] = 2 * (x - 1)
+    s[1::2] = 2 * x - 3
+    p_down, p_up = flat_step_probs_at(s, a)
+    return np.repeat(x, 2), c - p_down, p_up - b
+
+
+class _RefRecord:
+    def __init__(self, schedule, i_max):
+        self.schedule, self.i_max, self.phases = schedule, i_max, range(2, i_max + 1)
+
+    @cached_property
+    def a(self):
+        return {i: Fraction(self.schedule.a_of_phase(i)) for i in range(1, self.i_max + 1)}
+
+    @cached_property
+    def z(self):
+        out = {}
+        for i in self.phases:
+            a = self.schedule.a_of_phase(i)
+            a = Fraction(a) if isinstance(a, int) else a
+            c, b = _ref_c_b(i, a, self.schedule.profile.slack)
+            out[i] = ZDistribution(i=i, c=c, b=b, stay=1 - c - b)
+        return out
+
+    @cached_property
+    def lhs(self):
+        out = {}
+        for i in self.phases:
+            c, b = _ref_c_b(i, self.a[i], 0)
+            out[i] = b - c
+        return out
+
+
+def _ref_num(x):
+    return {"exact": str(x), "float": float(x)}
+
+
+def _ref_claim(claim_id, rng, first_bad, first_index, witness, details=None):
+    """The reference verdict as a ClaimResult; the statement, fixed text that
+    the golden digests pin, is filled in from the audit it is compared with."""
+    verdict, witness = _prefix_verdict(first_bad, first_index, witness)
+    return ClaimResult(claim_id=claim_id, statement=None, range_checked=rng,
+                       verdict=verdict, witness=witness, details=details)
+
+
+def _ref_c1(rec):
+    first_bad, witness = None, None
+    if rec.a[1] != 8:
+        first_bad, witness = 1, {"i": 1, "a": _ref_num(rec.a[1])}
+    else:
+        for i in rec.phases:
+            a = rec.a[i]
+            if not (a >= 8 and a >= 4 * i and (i == 2 or a > rec.a[i - 1])):
+                first_bad, witness = i, {"i": i, "a": _ref_num(a)}
+                break
+    return _ref_claim("C1", f"i in [1, {rec.i_max}]", first_bad, 1, witness)
+
+
+def _ref_c2(rec):
+    target = Fraction(rec.schedule.profile.drift_target)
+    first_bad, witness, holds_at = None, None, 0
+    for i in rec.phases:
+        if rec.lhs[i] > target:
+            holds_at += 1
+        elif first_bad is None:
+            first_bad, witness = i, {"i": i, "lhs": _ref_num(rec.lhs[i])}
+    return _ref_claim("C2", f"i in [2, {rec.i_max}], exact rationals", first_bad, 2,
+                      witness, {"holds_at": holds_at, "target": float(target)})
+
+
+def _ref_c3(rec):
+    profile = rec.schedule.profile
+    twice_slack = 2 * Fraction(profile.slack)
+    mean_target = Fraction(profile.drift_target) - twice_slack
+    floor = Fraction(profile.drift_floor)
+    first_bad, witness = None, None
+    last_ge_floor = last_positive = None
+    for i in rec.phases:
+        mean = rec.lhs[i] - twice_slack
+        if mean < mean_target and first_bad is None:
+            first_bad, witness = i, {"i": i, "mean": _ref_num(mean)}
+        if mean >= floor:
+            last_ge_floor = i
+        if mean > 0:
+            last_positive = i
+    boundaries = {"largest_i_mean_ge_drift_floor": last_ge_floor,
+                  "largest_i_mean_positive": last_positive}
+    if witness is not None:
+        witness.update(boundaries)
+    return _ref_claim("C3", f"i in [2, {rec.i_max}], exact rationals", first_bad, 2,
+                      witness, boundaries)
+
+
+def _ref_c4(rec):
+    c_cap = Fraction(2, 5) + Fraction(rec.schedule.profile.slack)
+    first_bad, witness = None, None
+    for i in rec.phases:
+        a, c, b = rec.a[i], Fraction(rec.z[i].c), Fraction(rec.z[i].b)
+        if not (c <= c_cap and b < Fraction(9, 20) and a > 10):
+            first_bad = i
+            witness = {"i": i, "c": _ref_num(c), "b": _ref_num(b), "a": _ref_num(a)}
+            break
+    return _ref_claim("C4", f"i in [2, {rec.i_max}], exact rationals", first_bad, 2, witness)
+
+
+def _ref_c5_phases(rec, x_depth):
+    """Per phase, the grid's (min c margin, its row, min b margin, its row)."""
+    out = []
+    for i in rec.phases:
+        z = rec.z[i]
+        _, c_m, b_m = _ref_grid(float(z.c), float(z.b), float(rec.a[i]), i, i + x_depth)
+        kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))
+        out.append((float(c_m[kc]), kc, float(b_m[kb]), kb))
+    return out
+
+
+def _ref_c5(rec, x_depth):
+    min_c = min_b = np.inf
+    arg_c = arg_b = None
+    first_bad, witness = None, None
+    for i, (c_m, kc, b_m, kb) in zip(rec.phases, _ref_c5_phases(rec, x_depth)):
+        # row k of the grid is at height i + k // 2
+        if c_m < min_c:
+            min_c, arg_c = c_m, (i, i + kc // 2)
+        if b_m < min_b:
+            min_b, arg_b = b_m, (i, i + kb // 2)
+        if (c_m < -1e-12 or b_m < -1e-12) and first_bad is None:
+            first_bad = i
+            witness = {"i": i, "x": i + (kc if c_m < b_m else kb) // 2,
+                       "c_margin": c_m, "b_margin": b_m}
+    return _ref_claim(
+        "C5", f"i in [2, {rec.i_max}], x in [i, i+{x_depth}], float64", first_bad, 2,
+        witness, {"min_c_margin": min_c, "min_b_margin": min_b,
+                  "argmin_c": list(arg_c) if arg_c else None,
+                  "argmin_b": list(arg_b) if arg_b else None})
+
+
+_REF_CHECKS = {"C1": _ref_c1, "C2": _ref_c2, "C3": _ref_c3, "C4": _ref_c4}
+
+
+def _ref_audit(schedule, i_max, x_depth, x_max, s_max) -> dict:
+    """audit_all's JSON, with C1-C5 and the cross-link from the reference."""
+    rec = _RefRecord(schedule, i_max)
+    ranges = {"x_depth": x_depth, "x_max": x_max, "s_max": s_max}
+    checks = verifier._CHECKS | {cid: lambda rec, _, f=f: f(rec) for cid, f in _REF_CHECKS.items()}
+    checks["C5"] = lambda rec, ranges: _ref_c5(rec, ranges["x_depth"])
+    claims = [checks[cid](rec, ranges) for cid in CLAIM_IDS]
+    profile = schedule.profile
+    target, twice_slack = Fraction(profile.drift_target), 2 * Fraction(profile.slack)
+    cross_links = {
+        "c2_c3_consistent": all(rec.lhs[i] - twice_slack > target - twice_slack
+                                for i in rec.phases if rec.lhs[i] > target),
+        "note": ("E(Z_i) equals the C2 left side minus 2*slack, so C2 holding at i "
+                 "forces C3's target at i; verified exactly at every i"),
+    }
+    return AuditReport(schedule.schedule_hash(), i_max, x_depth, claims,
+                       cross_links).to_jsonable()
+
+
+def _matches_reference(schedule, i_max, x_depth, x_max=10**6, s_max=10**6):
+    """audit_all's JSON equals the reference's byte for byte, or both raise
+    the same error."""
+    try:
+        got = audit_all(schedule, i_max, x_depth, x_max, s_max).to_jsonable()
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as ref_exc:
+            _ref_audit(schedule, i_max, x_depth, x_max, s_max)
+        assert isinstance(exc, ZeroDivisionError) or str(ref_exc.value) == str(exc)
+        return
+    ref = _ref_audit(schedule, i_max, x_depth, x_max, s_max)
+    for g, r in zip(got["claims"], ref["claims"]):
+        r["statement"] = r["statement"] or g["statement"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, i_max, x_depth", [
+    ("paper", 300, 100), ("paper", 2000, 1000), ("scaled", 2000, 1000),
+])
+def test_audit_matches_reference(name, i_max, x_depth, request):
+    _matches_reference(request.getfixturevalue(f"{name}_schedule"), i_max, x_depth)
+
+
+@pytest.mark.parametrize("name", ["paper", "scaled"])
+def test_c5_grid_minimum_is_at_x_equals_i(name, request):
+    """For every phase i <= 2000, the height grid's first minimum of each
+    margin over x in [i, i + 1000] is a row at x = i, with the value that
+    the two rows at x = i give."""
+    rec = _RefRecord(request.getfixturevalue(f"{name}_schedule"), 2000)
+    laws = [rec.z[i] for i in rec.phases]
+    x = np.arange(2, 2001)
+    _, c_m, b_m = _margins(np.array([float(z.c) for z in laws]),
+                           np.array([float(z.b) for z in laws]),
+                           np.array([float(rec.a[i]) for i in rec.phases]), x)
+    c_m, b_m = c_m.reshape(-1, 2), b_m.reshape(-1, 2)
+    for k, (c_min, kc, b_min, kb) in enumerate(_ref_c5_phases(rec, 1000)):
+        assert (kc, kb) == (int(np.argmin(c_m[k])), int(np.argmin(b_m[k])))
+        assert (c_min, b_min) == (c_m[k].min(), b_m[k].min())
+
+
+def _fractions(lo, hi, max_den):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=max_den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_audit_matches_reference_on_random_exact_profiles(data):
+    """Random exact paper-literal profiles, valid and not, with laws Z_i that
+    are and are not laws: the audit matches the reference."""
+    target = data.draw(_fractions(Fraction(1, 50), 3, 50), label="drift_target")
+    slack = data.draw(_fractions(0, target / 2, 1000).filter(lambda s: 2 * s < target),
+                      label="slack")
+    profile = ConstantsProfile(
+        drift_floor=(target - 2 * slack) / 2, drift_target=target, slack=slack,
+        a_offset=data.draw(_fractions(-10, 10, 100), label="a_offset"),
+        overshoot=4, hoeffding_K=1)
+    schedule = PhaseSchedule(mode=PAPER_LITERAL, profile=profile,
+                             M=data.draw(st.integers(3, 40), label="M"), M0=10)
+    _matches_reference(schedule, data.draw(st.integers(2, 200), label="i_max"),
+                       data.draw(st.integers(0, 50), label="x_depth"),
+                       x_max=100, s_max=100)
+
+
+def test_c5_witness_matches_reference(paper_schedule):
+    """Laws pushed out of domination at two phases: the failing C5 verdict,
+    witness and minima match the reference grid's."""
+    rec, ref = verifier._PhaseRecord(paper_schedule, 60), _RefRecord(paper_schedule, 60)
+    for i in (17, 40):
+        c, b, den = rec.z[i]
+        c, b = c - den // 100, b + den // 50
+        rec.z[i] = (c, b, den)
+        ref.z[i] = ZDistribution(i, Fraction(c, den), Fraction(b, den),
+                                 Fraction(den - c - b, den))
+    got = verifier.check_c5(rec, 30).to_jsonable()
+    want = _ref_c5(ref, 30).to_jsonable()
+    assert got["verdict"] == "holds-up-to" and got["witness"]["i"] == 17
+    assert got == dict(want, statement=got["statement"])
+
+
+def test_c2_and_mean_verdicts_for_every_phase(paper_schedule):
+    """At the paper profile, C2's left side minus the target and E(Z_i) are
+    rational functions of i.  A Cauchy root bound on the numerator and the
+    denominator, with an exact scan of the integers below it, gives their
+    signs at every i >= 2: C2 fails at every phase, and E(Z_i) > 0 exactly
+    for 2 <= i <= 11."""
+    sympy = pytest.importorskip("sympy")
+    i = sympy.Symbol("i")
+    profile = paper_schedule.profile
+    mu, off, slack, target = (sympy.Rational(str(v)) for v in (
+        profile.drift_target, profile.a_offset, profile.slack, profile.drift_target))
+    a = 8 * (2 * i**2 + 1 - 2 * i) / (2 * i - 1 + mu) - off
+    d = i**2 + (i - 1)**2
+    lhs = (sympy.Rational(1, 2) + 4 / a) * (i - 1)**2 / d \
+        - (sympy.Rational(1, 2) - 4 / a) * i**2 / d
+    for k in (2, 3, 11, 12, 500):
+        a_k = paper_schedule.a_of_phase(k)
+        assert lhs.subs(i, k) == sympy.Rational(str(dominated_drift(k, a_k, 0)))
+        assert (lhs - 2 * slack).subs(i, k) == sympy.Rational(str(mean_z(k, paper_schedule)))
+
+    def signs(expr):
+        """{k: sign at k} for 2 <= k <= the root bound, and the sign beyond."""
+        num, den = (sympy.Poly(p, i) for p in sympy.fraction(sympy.cancel(expr)))
+        bound = max(1 + max((abs(c / p.LC()) for c in p.all_coeffs()[1:]), default=0)
+                    for p in (num, den))
+        scan = {k: sympy.sign(num.eval(k)) * sympy.sign(den.eval(k))
+                for k in range(2, int(sympy.ceiling(bound)) + 1)}
+        return scan, sympy.sign(num.LC()) * sympy.sign(den.LC())
+
+    scan, beyond = signs(lhs - target)
+    assert set(scan.values()) == {-1} and beyond == -1
+    scan, beyond = signs(lhs - 2 * slack)
+    assert {k for k, s in scan.items() if s > 0} == set(range(2, 12))
+    assert all(s < 0 for k, s in scan.items() if k > 11) and beyond == -1
