@@ -33,13 +33,14 @@ By C7, x^2/D_x falls and (x-1)^2/D_x rises with x, so the diagonal p_down
 and the sub-diagonal p_up are monotone in x, while the sub-diagonal
 p_down = 1/4 - 2/a_i and the diagonal p_up = 1/4 + 2/a_i do not depend on
 x.  Each margin's smallest value over x in [i, i + depth] therefore lies in
-a row at x = i, and np.argmin's first such row is at x = i (when
+a row at x = i, and np.argmin's first such row is at x = i.  (When
 1/2 - 4/a_i < 0 the diagonal c margins fall towards the constant row
-instead, but stay above it, since x^2/D_x > 1/2).  In float64 the monotone rows keep that order
-while their step between neighbouring heights, about 1/x^2 relative, is
-larger than their few-ulp rounding, which holds for x up to about 2e7; up to
-there the two rows at x = i give the height grid's doubles, argmin rows and
-witnesses bit for bit.  The tests keep the grid as a reference.
+instead, but stay above it, since x^2/D_x > 1/2.)  In float64 the monotone
+rows keep that order while their step between neighbouring heights, about
+1/x^2 relative, is larger than their few-ulp rounding, which holds for x up
+to about 2e7; up to there the two rows at x = i give the height grid's
+doubles, argmin rows and witnesses bit for bit.  The tests keep the grid as
+a reference.
 
 C2 and C3 are linked: E(Z_i) equals the C2 left side minus twice the slack,
 so whenever C2 holds at i, C3's target holds there too.  audit_all records
@@ -254,9 +255,9 @@ def check_c3(rec: _PhaseRecord) -> ClaimResult:
     # same bound, shifted by 2*slack, on the C2 left side
     profile = rec.schedule.profile
     twice_slack = 2 * Fraction(profile.slack)
-    (tn, td), (fn, fd), (zn, zd) = (r.as_integer_ratio() for r in (
-        Fraction(profile.drift_target), Fraction(profile.drift_floor) + twice_slack,
-        twice_slack))
+    target = Fraction(profile.drift_target)
+    floor = Fraction(profile.drift_floor) + twice_slack
+    (tn, td), (fn, fd), (zn, zd) = (r.as_integer_ratio() for r in (target, floor, twice_slack))
     first_bad, witness = None, None
     last_ge_floor = last_positive = None
     for i, (c, b, den) in rec.z0.items():

@@ -1,5 +1,6 @@
 """Claim auditor: verdicts, witnesses, and the C2/C3 cross-link."""
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -22,14 +23,7 @@ from stairwalk import (
 from stairwalk.core import PAPER_LITERAL
 from stairwalk.domination import ZDistribution, _margins, dominated_drift
 from stairwalk.kernel import flat_step_probs_at
-from stairwalk.verifier import (
-    CLAIM_IDS,
-    FAILS,
-    HOLDS,
-    AuditReport,
-    ClaimResult,
-    _prefix_verdict,
-)
+from stairwalk.verifier import CLAIM_IDS, AuditReport, ClaimResult, _prefix_verdict
 
 
 @pytest.fixture(scope="module")
@@ -371,8 +365,8 @@ def _ref_audit(schedule, i_max, x_depth, x_max, s_max) -> dict:
     """audit_all's JSON, with C1-C5 and the cross-link from the reference."""
     rec = _RefRecord(schedule, i_max)
     ranges = {"x_depth": x_depth, "x_max": x_max, "s_max": s_max}
-    checks = verifier._CHECKS | {cid: lambda rec, _, f=f: f(rec) for cid, f in _REF_CHECKS.items()}
-    checks["C5"] = lambda rec, ranges: _ref_c5(rec, ranges["x_depth"])
+    checks = dict(verifier._CHECKS, C5=lambda rec, ranges: _ref_c5(rec, ranges["x_depth"]))
+    checks.update({cid: lambda rec, _, f=f: f(rec) for cid, f in _REF_CHECKS.items()})
     claims = [checks[cid](rec, ranges) for cid in CLAIM_IDS]
     profile = schedule.profile
     target, twice_slack = Fraction(profile.drift_target), 2 * Fraction(profile.slack)
@@ -499,3 +493,14 @@ def test_c2_and_mean_verdicts_for_every_phase(paper_schedule):
     scan, beyond = signs(lhs - 2 * slack)
     assert {k for k, s in scan.items() if s > 0} == set(range(2, 12))
     assert all(s < 0 for k, s in scan.items() if k > 11) and beyond == -1
+
+
+def test_c3_floor_boundary_is_inclusive(paper_schedule):
+    """With the drift floor set to E(Z_2) exactly, phase 2 counts as at the
+    floor, as in the reference."""
+    profile = dataclasses.replace(paper_schedule.profile,
+                                  drift_floor=mean_z(2, paper_schedule))
+    schedule = dataclasses.replace(paper_schedule, profile=profile)
+    res = audit_single("C3", schedule, i_max=20)
+    assert res.details["largest_i_mean_ge_drift_floor"] == 2
+    _matches_reference(schedule, 20, 5, x_max=100, s_max=100)
