@@ -56,7 +56,7 @@ class ZDistribution:
 
 
 def _c_b(i: int, a: Number, slack: Number) -> tuple[Number, Number]:
-    """c_i and b_i in float arithmetic (the exact form is `_c_b_ratio`)."""
+    """c_i and b_i in float arithmetic (the exact form is `_z_ratio`)."""
     d = i * i + (i - 1) * (i - 1)
     c = (a - 8) / (2 * a) * (i * i) / d + slack
     b = (a + 8) / (2 * a) * ((i - 1) * (i - 1)) / d - slack
@@ -72,9 +72,7 @@ def _c_b_ratio(i: int, a: Number) -> tuple[int, int, int]:
 
         c = (p - 8q) i^2        b = (p + 8q) (i-1)^2
 
-    The integer ratio of a float is exact too.  With `_add_slack` this is
-    the one exact formula for Z_i and its mean (`_is_exact` says when Z_i
-    uses it).
+    The integer ratio of a float is exact too.
     """
     p, q = a.as_integer_ratio()
     if p == 0:
@@ -84,21 +82,24 @@ def _c_b_ratio(i: int, a: Number) -> tuple[int, int, int]:
     return (c, b, den) if den > 0 else (-c, -b, -den)
 
 
-def _add_slack(c: int, b: int, den: int, slack: Number) -> tuple[int, int, int]:
-    """(c, b, den) of c/den + slack and b/den - slack, exactly."""
+def _z_ratio(i: int, a: Number, slack: Number) -> tuple[int, int, int] | None:
+    """Exact (c, b, den) of Z_i at (a, slack), with den > 0, or None when a
+    or the slack is a float and c_i, b_i are taken by `_c_b` instead.
+
+    This is the one exact formula for Z_i and its mean.
+    """
+    if not (isinstance(a, Fraction) and isinstance(slack, (int, Fraction))):
+        return None
+    c, b, den = _c_b_ratio(i, a)
     sn, sd = slack.as_integer_ratio()
     return c * sd + sn * den, b * sd - sn * den, den * sd
 
 
-def _is_exact(a: Number, slack: Number) -> bool:
-    """Whether c_i and b_i at (a, slack) are rationals rather than floats."""
-    return isinstance(a, Fraction) and isinstance(slack, (int, Fraction))
-
-
 def dominated_drift(i: int, a: Number, slack: Number) -> Number:
     """Mean b_i - c_i of the dominated step variable, without building it."""
-    if _is_exact(a, slack):
-        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
+    exact = _z_ratio(i, a, slack)
+    if exact is not None:
+        c, b, den = exact
         return Fraction(b - c, den)
     c, b = _c_b(i, a, slack)
     return b - c
@@ -115,8 +116,9 @@ def _phase_a(i: int, schedule) -> Number:
 def z_distribution(i: int, schedule) -> ZDistribution:
     """The dominated step variable of phase i under the given schedule."""
     a, slack = _phase_a(i, schedule), schedule.profile.slack
-    if _is_exact(a, slack):
-        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
+    exact = _z_ratio(i, a, slack)
+    if exact is not None:
+        c, b, den = exact
         return ZDistribution(i=i, c=Fraction(c, den), b=Fraction(b, den),
                              stay=Fraction(den - c - b, den))
     c, b = _c_b(i, a, slack)
@@ -126,17 +128,6 @@ def z_distribution(i: int, schedule) -> ZDistribution:
 def mean_z(i: int, schedule) -> Number:
     """E(Z_i) = b_i - c_i in the schedule's arithmetic."""
     return dominated_drift(i, _phase_a(i, schedule), schedule.profile.slack)
-
-
-def _float_mean_z(i: int, schedule) -> float:
-    """float(mean_z(i, schedule)), with no Fraction built: int / int rounds
-    correctly, as float(Fraction) does."""
-    a, slack = _phase_a(i, schedule), schedule.profile.slack
-    if _is_exact(a, slack):
-        c, b, den = _add_slack(*_c_b_ratio(i, a), slack)
-        return (b - c) / den
-    c, b = _c_b(i, a, slack)
-    return float(b - c)
 
 
 # ======================================================================

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -245,14 +244,7 @@ class PhaseSchedule:
         if i == 1:
             return self.profile.phase1_a
         mu, off = self.profile.drift_target, self.profile.a_offset
-        k = 8 * (2 * i * i + 1 - 2 * i)
-        if isinstance(mu, Fraction) and isinstance(off, (int, Fraction)):
-            # the same rational, normalised once: with mu = m/n and off = u/v,
-            # k/(2i - 1 + mu) - off = (k n v - u d)/(d v), d = (2i - 1) n + m
-            (m, n), (u, v) = mu.as_integer_ratio(), off.as_integer_ratio()
-            d = (2 * i - 1) * n + m
-            return Fraction(k * n * v - u * d, d * v)
-        return k / (2 * i - 1 + mu) - off
+        return 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
 
     def threshold(self, i: int) -> Number:
         self._check_phase(i)
@@ -598,13 +590,13 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
     full phase of -1 steps cannot drop the walk below height i.
     Infeasibility is reported, not raised.
     """
-    from .domination import _float_mean_z  # deferred: domination builds on schedules
+    from .domination import mean_z  # deferred: domination builds on schedules
 
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
     indices = range(2, i_max + 1)
     lengths = [schedule.length(i) for i in indices]
-    drifts = [_float_mean_z(i, schedule) for i in indices]
+    drifts = [float(mean_z(i, schedule)) for i in indices]
     gains = concentration_gain(lengths, np.array(drifts), schedule.profile.hoeffding_K)
     phases = []
     first = None

@@ -27,8 +27,6 @@ def fmt_real(x) -> str:
 
 def jsonable(obj):
     """Recursively reduce package objects to JSON-encodable structures."""
-    if obj is None or type(obj) in (float, int, str, bool):
-        return obj
     if hasattr(obj, "to_jsonable"):
         return jsonable(obj.to_jsonable())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

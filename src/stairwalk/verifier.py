@@ -59,10 +59,9 @@ import numpy as np
 from .core import PAPER_LITERAL, Number
 from .domination import (
     ZDistribution,
-    _add_slack,
     _c_b_ratio,
-    _is_exact,
     _margins,
+    _z_ratio,
     z_distribution,
 )
 from .kernel import flat_step_distribution, monotonicity_violation
@@ -176,8 +175,9 @@ class _PhaseRecord:
         slack = self.schedule.profile.slack
         out = {}
         for i in self.phases:
-            if _is_exact(self.a[i], slack):
-                c, b, den = _add_slack(*self.z0[i], slack)
+            exact = _z_ratio(i, self.a[i], slack)
+            if exact is not None:
+                c, b, den = exact
                 if not (c >= 0 and b >= 0 and c + b <= den):
                     ZDistribution(i, Fraction(c, den), Fraction(b, den),
                                   Fraction(den - c - b, den))  # raises
@@ -457,15 +457,17 @@ def check_c8(schedule, s_max: int = 10**6) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def _record(schedule, i_max: int, x_depth: int) -> _PhaseRecord:
-    """The per-phase record to audit, once the schedule and ranges are checked."""
-    if schedule.mode != PAPER_LITERAL:
-        raise ValueError("the audit interrogates rule-generated schedules only")
-    if i_max < 2:
-        raise ValueError(f"i_max must be >= 2, got {i_max}")
-    if x_depth < 0:
-        raise ValueError(f"x_depth must be >= 0, got {x_depth}")
-    return _PhaseRecord(schedule, i_max)
+def _record(schedule, claim_ids, ranges: dict) -> _PhaseRecord:
+    """The per-phase record for the given claims, once the schedule and the
+    ranges those claims read are checked."""
+    if not _RECORD_CLAIMS.isdisjoint(claim_ids):
+        if schedule.mode != PAPER_LITERAL:
+            raise ValueError("the audit interrogates rule-generated schedules only")
+        if ranges["i_max"] < 2:
+            raise ValueError(f"i_max must be >= 2, got {ranges['i_max']}")
+    if "C5" in claim_ids and ranges["x_depth"] < 0:
+        raise ValueError(f"x_depth must be >= 0, got {ranges['x_depth']}")
+    return _PhaseRecord(schedule, ranges["i_max"])
 
 
 def audit_all(
@@ -476,8 +478,9 @@ def audit_all(
     s_phase1_max: int = 10**6,
 ) -> AuditReport:
     """Run every claim against a rule-generated schedule and cross-link C2/C3."""
-    rec = _record(schedule, i_max, x_depth)
-    ranges = {"x_depth": x_depth, "x_max": x_monotone_max, "s_max": s_phase1_max}
+    ranges = {"i_max": i_max, "x_depth": x_depth, "x_max": x_monotone_max,
+              "s_max": s_phase1_max}
+    rec = _record(schedule, CLAIM_IDS, ranges)
     claims = [_CHECKS[claim_id](rec, ranges) for claim_id in CLAIM_IDS]
     profile = schedule.profile
     target, twice_slack = Fraction(profile.drift_target), 2 * Fraction(profile.slack)
@@ -506,8 +509,7 @@ def audit_single(claim_id: str, schedule, **ranges) -> ClaimResult:
     if claim_id not in _CHECKS:
         raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
     ranges = dict(i_max=10**4, x_depth=10**3, x_max=10**6, s_max=10**6) | ranges
-    rec = _record(schedule, ranges["i_max"], ranges["x_depth"])
-    return _CHECKS[claim_id](rec, ranges)
+    return _CHECKS[claim_id](_record(schedule, (claim_id,), ranges), ranges)
 
 
 # Each claim's check, given the per-phase record and the ranges.  The lambdas
@@ -523,3 +525,5 @@ _CHECKS = {
     "C8": lambda rec, ranges: check_c8(rec.schedule, ranges["s_max"]),
 }
 CLAIM_IDS = tuple(_CHECKS)
+# the claims that read the per-phase record; C7 and C8 read none of it
+_RECORD_CLAIMS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})

@@ -18,7 +18,7 @@ from stairwalk import (
     user_schedule,
     z_distribution,
 )
-from stairwalk.domination import _float_mean_z, dominated_drift, domination_margins
+from stairwalk.domination import dominated_drift, domination_margins
 
 
 def test_z_distribution_paper_i2(paper_schedule):
@@ -83,7 +83,6 @@ def test_z_matches_fraction_chain(i, a, slack):
     assert type(z.c) is type(c)
     mean = mean_z(i, schedule)
     assert mean == b - c and type(mean) is type(b - c)
-    assert _float_mean_z(i, schedule) == float(b - c)
 
 
 def test_validity_bounds_along_rule_values(paper_schedule):

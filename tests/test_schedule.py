@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
     PhaseSchedule,
@@ -21,7 +20,7 @@ from stairwalk import (
     steady_drift_schedule,
     user_schedule,
 )
-from stairwalk.core import PAPER_LITERAL, ConstantsProfile
+from stairwalk.core import ConstantsProfile
 
 
 def _brute_find_M(delta, K, h, m_hi):
@@ -154,23 +153,6 @@ def test_a_sequence_invariants(paper_schedule):
         assert a > prev
         assert a >= 4 * i  # divergence certificate
         prev = a
-
-
-@settings(max_examples=50, deadline=None)
-@given(mu=st.fractions(min_value=Fraction(1, 100), max_value=5, max_denominator=1000),
-       off=st.one_of(st.integers(-10, 10),
-                     st.fractions(min_value=-10, max_value=10, max_denominator=1000)))
-def test_a_rule_matches_its_fraction_form(mu, off):
-    """An exact profile's a_i, taken in integers, is the rule's Fraction
-    expression; an int drift target keeps the rule in float."""
-    for mu_ in (mu, 1):
-        profile = ConstantsProfile(drift_floor=Fraction(1, 1000), drift_target=mu_,
-                                   slack=0, a_offset=off, overshoot=4, hoeffding_K=1)
-        s = PhaseSchedule(mode=PAPER_LITERAL, profile=profile, M=3, M0=1)
-        for i in (2, 3, 10, 999, 10**6):
-            a = s.a_of_phase(i)
-            assert a == 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu_) - off
-            assert type(a) is (Fraction if mu_ is mu else float)
 
 
 def test_step_indexing(paper_schedule):

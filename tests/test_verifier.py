@@ -129,9 +129,18 @@ def test_audit_ranges_are_checked(paper_schedule):
         audit_single("C5", paper_schedule, i_max=5, x_depth=-1)
     with pytest.raises(ValueError, match="x_depth"):
         audit_all(paper_schedule, i_max=5, x_depth=-1)
-    with pytest.raises(ValueError, match="rule-generated"):
-        audit_single("C1", steady_drift_schedule(3), i_max=3)
+    user = steady_drift_schedule(3)
+    for cid in ("C1", "C6"):
+        with pytest.raises(ValueError, match="rule-generated"):
+            audit_single(cid, user, i_max=3)
     assert audit_single("C5", paper_schedule, i_max=5, x_depth=0).verdict == "holds"
+    # each range is checked only by the claims that read it: C7 and C8 read
+    # neither the per-phase record nor i_max, and only C5 reads x_depth
+    for schedule in (paper_schedule, user):
+        for i_max in (0, 3):
+            assert audit_single("C7", schedule, i_max=i_max, x_max=100).verdict == "holds"
+            assert audit_single("C8", schedule, i_max=i_max, s_max=100).verdict == "holds"
+    assert audit_single("C1", paper_schedule, i_max=5, x_depth=-1).verdict == "holds"
 
 
 def test_c8_details(report):
