@@ -338,6 +338,37 @@ def test_wilson_interval_against_external_values():
         wilson_interval(5, 4)
 
 
+@pytest.mark.parametrize("args, interval", [
+    ((8, 10, 0.95), (0.4901624715366418, 0.9433178485456248)),
+    ((990, 1000, 0.99), (0.9780707139163345, 0.9954699444783268)),
+    ((0, 50, 0.99), (0.0, 0.11715209171762797)),
+    ((50, 50, 0.99), (0.8828479082823721, 1.0)),
+    ((3, 7, 1 - 1e-6), (0.04505813803441161, 0.9226088338208686)),
+    ((4096, 4500, 0.95), (0.9015163830274997, 0.918228280224197)),
+])
+def test_wilson_interval_golden_values(args, interval):
+    # recorded bit for bit from the norm.ppf quantile; any other way of
+    # computing z must reproduce them exactly
+    assert wilson_interval(*args) == interval
+
+
+def test_ndtri_is_norm_ppf():
+    # wilson_interval's z quantile: scipy.stats.norm.ppf is ndtri on (0, 1)
+    # and handles the ends and out-of-range values itself, so compare the
+    # two bit for bit there too
+    from scipy.special import ndtri
+    from scipy.stats import norm
+
+    q = np.concatenate([
+        np.linspace(0.0, 1.0, 20001),
+        [0.5, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 5e-324,
+         0.995, 0.975, 0.5 + (1 - 1e-6) / 2, -0.5, 1.5, -np.inf, np.inf, np.nan],
+    ])
+    np.testing.assert_array_equal(ndtri(q), norm.ppf(q))
+    assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+    assert np.isnan(ndtri(1.5)) and np.isnan(ndtri(np.nan))
+
+
 def test_wilson_coverage_meta_check(scaled_schedule):
     # the DP-exact value should land inside the 99% interval in almost all
     # repeated batches (deterministic given the seed ladder)
