@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     PAPER_LITERAL,
@@ -116,6 +115,8 @@ def find_M0(
         method = EXACT_BINOMIAL if M <= _EXACT_M0_LIMIT else HOEFFDING_CONSERVATIVE
 
     if method == EXACT_BINOMIAL:
+        from scipy import stats  # deferred: ~1 s to import, and only this branch needs it
+
         if sig == 0:
             raise ValueError(
                 "sigma = 0 is unsatisfiable for exact-binomial "

@@ -48,7 +48,6 @@ from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .bounds import phase_success_bound, true_mean_phase_bound
 from .core import PAPER_LITERAL
@@ -303,15 +302,25 @@ def run_replication(
 # ======================================================================
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+
+
 def wilson_interval(
     successes: int, n: int, confidence: float = 0.99
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    _check_confidence(confidence)
     if n < 0 or not 0 <= successes <= max(n, 0):
         raise ValueError("need 0 <= successes <= n")
     if n == 0:
         return (0.0, 1.0)
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.special import ndtri  # deferred: scipy is slow to import
+
+    # ndtri is scipy.stats.norm.ppf on (0, 1), bit for bit, without loading
+    # scipy.stats
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -383,6 +392,7 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    _check_confidence(confidence)
     segments, tables, tests = _phase_plan(schedule, max_phase)
 
     def job(seeds):

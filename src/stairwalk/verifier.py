@@ -467,6 +467,14 @@ def _record(schedule, claim_ids, ranges: dict) -> _PhaseRecord:
             raise ValueError(f"i_max must be >= 2, got {ranges['i_max']}")
     if "C5" in claim_ids and ranges["x_depth"] < 0:
         raise ValueError(f"x_depth must be >= 0, got {ranges['x_depth']}")
+    # C7 compares x with x + 1, so it needs x = 1 and 2; C8 claims equality
+    # at s = 1, so its range must hold s = 1
+    if "C7" in claim_ids and ranges["x_max"] < 2:
+        raise ValueError(
+            f"x_max (x_monotone_max in audit_all) must be >= 2, got {ranges['x_max']}")
+    if "C8" in claim_ids and ranges["s_max"] < 1:
+        raise ValueError(
+            f"s_max (s_phase1_max in audit_all) must be >= 1, got {ranges['s_max']}")
     return _PhaseRecord(schedule, ranges["i_max"])
 
 

@@ -369,6 +369,18 @@ def test_ndtri_is_norm_ppf():
     assert np.isnan(ndtri(1.5)) and np.isnan(ndtri(np.nan))
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, float("nan")])
+def test_confidence_must_be_a_probability(confidence, scaled_schedule, monkeypatch):
+    for successes, n in ((5, 10), (0, 0)):
+        with pytest.raises(ValueError, match="confidence"):
+            wilson_interval(successes, n, confidence)
+    # checked on entry, before any replication runs
+    monkeypatch.setattr(simulator, "_phase_plan",
+                        lambda *args: pytest.fail("simulated before the check"))
+    with pytest.raises(ValueError, match="confidence"):
+        run_experiment(scaled_schedule, 3, 10, SEED, confidence=confidence)
+
+
 def test_wilson_coverage_meta_check(scaled_schedule):
     # the DP-exact value should land inside the 99% interval in almost all
     # repeated batches (deterministic given the seed ladder)

@@ -141,6 +141,21 @@ def test_audit_ranges_are_checked(paper_schedule):
             assert audit_single("C7", schedule, i_max=i_max, x_max=100).verdict == "holds"
             assert audit_single("C8", schedule, i_max=i_max, s_max=100).verdict == "holds"
     assert audit_single("C1", paper_schedule, i_max=5, x_depth=-1).verdict == "holds"
+    # C7 needs one (x, x + 1) pair and C8 the point s = 1 where it claims
+    # equality; a smaller range is an error, not a verdict
+    for x_max in (-5, 0, 1):
+        with pytest.raises(ValueError, match="x_max"):
+            audit_single("C7", paper_schedule, x_max=x_max)
+        with pytest.raises(ValueError, match="x_monotone_max"):
+            audit_all(paper_schedule, i_max=5, x_monotone_max=x_max)
+    for s_max in (-1, 0):
+        with pytest.raises(ValueError, match="s_max"):
+            audit_single("C8", paper_schedule, s_max=s_max)
+        with pytest.raises(ValueError, match="s_phase1_max"):
+            audit_all(paper_schedule, i_max=5, s_phase1_max=s_max)
+    assert audit_single("C7", user, x_max=2).verdict == "holds"
+    assert audit_single("C8", user, s_max=1).verdict == "holds"
+    assert audit_single("C8", user, x_max=0).verdict == "holds"
 
 
 def test_c8_details(report):
