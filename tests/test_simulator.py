@@ -365,8 +365,6 @@ def test_ndtri_is_norm_ppf():
          0.995, 0.975, 0.5 + (1 - 1e-6) / 2, -0.5, 1.5, -np.inf, np.inf, np.nan],
     ])
     np.testing.assert_array_equal(ndtri(q), norm.ppf(q))
-    assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
-    assert np.isnan(ndtri(1.5)) and np.isnan(ndtri(np.nan))
 
 
 @pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, float("nan")])
