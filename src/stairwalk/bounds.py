@@ -56,22 +56,20 @@ def hoeffding_tail(m: int, t) -> Number:
     return min(1.0, val)
 
 
-def phase_success_bound(i: int, schedule, with_flag: bool = False):
+def phase_success_bound(i: int, schedule) -> float:
     """1 - 2 / L_i^{2K} for the rule-generated schedule; 0 when vacuous.
 
     The bound is the conditional success probability floor of phase i given
     all earlier phase events.  When L_i^{2K} <= 2 the formula goes
-    nonpositive and the bound is clamped to 0; pass with_flag=True to learn
-    whether that happened.
+    nonpositive and the bound is clamped to 0, so it is vacuous exactly
+    when it is 0.
     """
     if i < 2:
         raise ValueError("phase success bounds start at phase 2")
     L = schedule.length(i)
     K = schedule.profile.hoeffding_K
     denom = float(L) ** (2 * K)
-    vacuous = denom <= 2.0
-    value = 0.0 if vacuous else 1.0 - 2.0 / denom
-    return (value, vacuous) if with_flag else value
+    return 0.0 if denom <= 2.0 else 1.0 - 2.0 / denom
 
 
 def true_mean_phase_bound(i: int, schedule, gain: float | None = None) -> float:

@@ -10,11 +10,11 @@ Outputs are machine-first (JSON/CSV); whatever is printed is rendered from
 the same data.  Exit codes: 0 on success (audit findings are findings, not
 errors), 1 for usage/configuration problems and for a float DP whose mass
 drifts past its tolerance, 2 when a resource budget is exceeded.  --threads
-(env STAIRWALK_THREADS is the fallback) is the number of forked worker
-processes that run Monte Carlo chunks; each worker receives its job through
-the pool's initializer.  It must be >= 1, defaults to every usable CPU, and
-is capped at the usable CPUs and the chunk count.  Results are invariant to
-the setting.
+of `simulate` and `control` (env STAIRWALK_THREADS is the fallback) is the
+number of forked worker processes that run Monte Carlo chunks; each worker
+receives its job through the pool's initializer.  It must be >= 1, defaults
+to every usable CPU, and is capped at the usable CPUs and the chunk count.
+Results are invariant to the setting.
 """
 
 from __future__ import annotations
@@ -208,11 +208,9 @@ def cmd_dp(args) -> int:
         rel = ">" if not args.non_strict else ">="
         print(f"P(S_{args.horizon} {rel} {args.threshold}) = {fmt_real(p)}")
         if args.json:
-            dump_json(
-                {"horizon": args.horizon, "threshold": args.threshold,
-                 "strict": not args.non_strict, "probability": float(p)},
-                args.json,
-            )
+            doc = {"horizon": args.horizon, "threshold": args.threshold,
+                   "strict": not args.non_strict, "probability": float(p)}
+            dump_json(_attach_metadata(doc, args, sched.profile), args.json)
     return 0
 
 
@@ -259,11 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.add_argument("--metadata", action="store_true",
+                       help="embed version/generator/profile in outputs")
+
+    def monte_carlo(p):
         p.add_argument("--threads", type=int, default=None,
                        help="forked worker processes for Monte Carlo chunks, capped at "
                             "the usable CPUs (default: all; env STAIRWALK_THREADS)")
-        p.add_argument("--metadata", action="store_true",
-                       help="embed version/generator/profile in outputs")
+        common(p)
 
     p = sub.add_parser("schedule", help="build and serialize a phase schedule")
     p.add_argument("--sigma", type=float, default=0.5)
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj-csv", help="checkpoint dump (replication, n, s) path")
     p.add_argument("--traj-count", type=int, default=10,
                    help="replications to include in the checkpoint dump")
-    common(p)
+    monte_carlo(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("bound", help="certified divergence product bound")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", type=float, default=8.0)
     p.add_argument("--out", help="summary JSON path")
-    common(p)
+    monte_carlo(p)
     p.set_defaults(fn=cmd_control)
 
     return parser

@@ -13,10 +13,18 @@ x^2/D_x decreases and (x-1)^2/D_x increases in x, with the +-slack giving
 strict margin.  `coupled_sample` realizes the ordering constructively: both
 variables are inverse-CDF transforms of one uniform draw with atoms ordered
 -1 < 0 < 1, so the step dominates the Z value pathwise, draw by draw.
+
+`_z_ratio` is the one formula for Z_i in both arithmetics: it gives c_i and
+b_i as integers over one positive denominator, exact when a_i and the slack
+are exact (ints are promoted), the exact ratios of the float masses
+otherwise.  `z_distribution` and the audit's per-phase record read it.
+`dominated_drift`, and so `mean_z`, reads it in exact arithmetic and takes
+b_i - c_i from `_c_b`'s float masses otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,9 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Number
-from .kernel import StepDistribution, _inverse_cdf, flat_step_probs_at
-
-_SUM_TOL = 1e-15
+from .kernel import StepDistribution, _check_law, _inverse_cdf, flat_step_probs_at
 
 
 @dataclass(frozen=True)
@@ -39,24 +45,31 @@ class ZDistribution:
     stay: Number  # mass at 0
 
     def __post_init__(self):
-        if self.i < 2:
-            raise ValueError("Z is only defined for phases i >= 2")
-        parts = (self.c, self.b, self.stay)
-        for p in parts:
-            if p < 0 or p > 1:
-                raise ValueError(f"component {p} outside [0, 1]")
-        total = self.c + self.b + self.stay
-        exact = all(isinstance(p, (int, Fraction)) for p in parts)
-        if (exact and total != 1) or (not exact and abs(total - 1) > _SUM_TOL):
-            raise ValueError(f"components sum to {total}, not 1")
+        _check_phase(self.i)
+        _check_law(self.c, self.b, self.stay)
 
     @property
     def mean(self) -> Number:
         return self.b - self.c
 
 
-def _c_b(i: int, a: Number, slack: Number) -> tuple[Number, Number]:
-    """c_i and b_i in float arithmetic (the exact form is `_z_ratio`)."""
+def _check_phase(i: int):
+    if i < 2:
+        raise ValueError("Z is only defined for phases i >= 2")
+
+
+def _is_float(a: Number, slack: Number) -> bool:
+    """Whether Z_i at (a, slack) is taken in float arithmetic; ints and
+    Fractions keep it exact."""
+    return isinstance(a, float) or isinstance(slack, float)
+
+
+def _c_b(i: int, a: Number, slack: Number) -> tuple[float, float]:
+    """c_i and b_i in float arithmetic (the exact form is `_z_ratio`).  An
+    int a is promoted, so that it divides exactly before the float slack
+    is added."""
+    if isinstance(a, int):
+        a = Fraction(a)
     d = i * i + (i - 1) * (i - 1)
     c = (a - 8) / (2 * a) * (i * i) / d + slack
     b = (a + 8) / (2 * a) * ((i - 1) * (i - 1)) / d - slack
@@ -82,52 +95,47 @@ def _c_b_ratio(i: int, a: Number) -> tuple[int, int, int]:
     return (c, b, den) if den > 0 else (-c, -b, -den)
 
 
-def _z_ratio(i: int, a: Number, slack: Number) -> tuple[int, int, int] | None:
-    """Exact (c, b, den) of Z_i at (a, slack), with den > 0, or None when a
-    or the slack is a float and c_i, b_i are taken by `_c_b` instead.
+def _z_ratio(i: int, a: Number, slack: Number) -> tuple[int, int, int]:
+    """(c, b, den) of Z_i at (a, slack), with den > 0, c_i = c/den and
+    b_i = b/den.
 
-    This is the one exact formula for Z_i and its mean.
+    This is the one formula for Z_i.  When a and the slack are exact the
+    masses are exact; otherwise they are `_c_b`'s float masses, taken by
+    their exact integer ratios over one denominator, so that c/den and
+    b/den give back those floats.
     """
-    if not (isinstance(a, Fraction) and isinstance(slack, (int, Fraction))):
-        return None
+    if _is_float(a, slack):
+        (c, c_den), (b, b_den) = (m.as_integer_ratio() for m in _c_b(i, a, slack))
+        den = math.lcm(c_den, b_den)
+        return c * (den // c_den), b * (den // b_den), den
     c, b, den = _c_b_ratio(i, a)
     sn, sd = slack.as_integer_ratio()
     return c * sd + sn * den, b * sd - sn * den, den * sd
 
 
 def dominated_drift(i: int, a: Number, slack: Number) -> Number:
-    """Mean b_i - c_i of the dominated step variable, without building it."""
-    exact = _z_ratio(i, a, slack)
-    if exact is not None:
-        c, b, den = exact
-        return Fraction(b - c, den)
-    c, b = _c_b(i, a, slack)
-    return b - c
-
-
-def _phase_a(i: int, schedule) -> Number:
-    """a_i of a phase i >= 2, with ints promoted so that Z_i stays exact."""
-    if i < 2:
-        raise ValueError("Z is only defined for phases i >= 2")
-    a = schedule.a_of_phase(i)
-    return Fraction(a) if isinstance(a, int) else a
+    """Mean b_i - c_i of the dominated step variable, without building it:
+    exact when a and the slack are, in float otherwise."""
+    if _is_float(a, slack):
+        c, b = _c_b(i, a, slack)
+        return b - c
+    c, b, den = _z_ratio(i, a, slack)
+    return Fraction(b - c, den)
 
 
 def z_distribution(i: int, schedule) -> ZDistribution:
     """The dominated step variable of phase i under the given schedule."""
-    a, slack = _phase_a(i, schedule), schedule.profile.slack
-    exact = _z_ratio(i, a, slack)
-    if exact is not None:
-        c, b, den = exact
-        return ZDistribution(i=i, c=Fraction(c, den), b=Fraction(b, den),
-                             stay=Fraction(den - c - b, den))
-    c, b = _c_b(i, a, slack)
+    _check_phase(i)
+    a, slack = schedule.a_of_phase(i), schedule.profile.slack
+    c, b, den = _z_ratio(i, a, slack)
+    c, b = (c / den, b / den) if _is_float(a, slack) else (Fraction(c, den), Fraction(b, den))
     return ZDistribution(i=i, c=c, b=b, stay=1 - c - b)
 
 
 def mean_z(i: int, schedule) -> Number:
     """E(Z_i) = b_i - c_i in the schedule's arithmetic."""
-    return dominated_drift(i, _phase_a(i, schedule), schedule.profile.slack)
+    _check_phase(i)
+    return dominated_drift(i, schedule.a_of_phase(i), schedule.profile.slack)
 
 
 # ======================================================================

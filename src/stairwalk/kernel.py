@@ -46,6 +46,18 @@ VARIANTS = (LEMMA_CONSISTENT, DEFINITION_LITERAL)
 _SUM_TOL = 1e-15
 
 
+def _check_law(*parts: Number):
+    """Raise a ValueError unless the masses of a law lie in [0, 1] and sum,
+    in the order given, to 1: exactly if all are exact, else within _SUM_TOL."""
+    for p in parts:
+        if p < 0 or p > 1:
+            raise ValueError(f"component {p} outside [0, 1]")
+    total = sum(parts)
+    exact = all(isinstance(p, (int, Fraction)) for p in parts)
+    if (exact and total != 1) or (not exact and abs(total - 1) > _SUM_TOL):
+        raise ValueError(f"components sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """Three-point law on {-1, 0, +1}."""
@@ -55,14 +67,7 @@ class StepDistribution:
     p_up: Number
 
     def __post_init__(self):
-        parts = (self.p_down, self.p_stay, self.p_up)
-        for p in parts:
-            if p < 0 or p > 1:
-                raise ValueError(f"component {p} outside [0, 1]")
-        total = self.p_down + self.p_stay + self.p_up
-        exact = all(isinstance(p, (int, Fraction)) for p in parts)
-        if (exact and total != 1) or (not exact and abs(total - 1) > _SUM_TOL):
-            raise ValueError(f"components sum to {total}, not 1")
+        _check_law(self.p_down, self.p_stay, self.p_up)
 
     @property
     def drift(self) -> Number:
@@ -140,6 +145,10 @@ def stair_step_distribution(
 # ======================================================================
 
 
+# mismatches listed per variant; the rest are only counted
+_MISMATCH_CAP = 100
+
+
 @dataclass
 class VariantResult:
     variant: str
@@ -175,9 +184,7 @@ class EquivalenceReport:
         }
 
 
-def kernel_equivalence_check(
-    x_max: int, a_values: Iterable[Number], mismatch_cap: int = 100
-) -> EquivalenceReport:
+def kernel_equivalence_check(x_max: int, a_values: Iterable[Number]) -> EquivalenceReport:
     """Compare the flattened image of the 2D law against the flat law, exactly.
 
     Runs every state with x <= x_max (both parities) against every a, in
@@ -204,7 +211,7 @@ def kernel_equivalence_check(
                 got = (image.get(s - 1, 0), image.get(s, 0), image.get(s + 1, 0))
                 if got != flat.as_tuple():
                     count += 1
-                    if len(mismatches) < mismatch_cap:
+                    if len(mismatches) < _MISMATCH_CAP:
                         mismatches.append(
                             {
                                 "state": list(st),

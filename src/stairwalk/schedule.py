@@ -27,7 +27,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -245,6 +246,8 @@ class PhaseSchedule:
         if i == 1:
             return self.profile.phase1_a
         mu, off = self.profile.drift_target, self.profile.a_offset
+        if isinstance(mu, int):
+            mu = Fraction(mu)  # int / int would leave exact arithmetic
         return 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
 
     def threshold(self, i: int) -> Number:
@@ -371,7 +374,6 @@ def build_paper_schedule(
     sigma: Number,
     profile: ConstantsProfile | None = None,
     sigma_phase1: Number | None = None,
-    m0_method: str = "auto",
 ) -> PhaseSchedule:
     """Assemble the rule-generated schedule for a given failure budget sigma.
 
@@ -387,7 +389,7 @@ def build_paper_schedule(
     if sigma_phase1 is None:
         sigma_phase1 = sigma / 2
     M = find_M(profile)
-    M0 = find_M0(sigma_phase1, M, profile, method=m0_method)
+    M0 = find_M0(sigma_phase1, M, profile)
     return PhaseSchedule(
         mode=PAPER_LITERAL,
         profile=profile,
@@ -418,6 +420,45 @@ def user_schedule(
     )
 
 
+def _gain_schedule(
+    profile: ConstantsProfile,
+    lengths: Sequence[int],
+    a_values: Sequence[float],
+    t1_rule: Callable[[list[int]], Number],
+    sigma: Number | None,
+    m0_method: str,
+) -> PhaseSchedule:
+    """A user schedule whose phases 2.. have the given lengths and a values,
+    with threshold gains floor(G_i) of their concentration gains, so that
+    the feasibility check G_i >= gain holds exactly, with no
+    float-accumulation hair.  t1_rule maps those gains to T_1.  Phase 1
+    runs at a = 8 for 5 ceil(T_1) steps, or, given sigma, for the find_M0
+    length (by m0_method) at sigma/2."""
+    from .domination import dominated_drift  # deferred: layering
+
+    eps, K = float(profile.slack), profile.hoeffding_K
+    gains = [
+        math.floor(concentration_gain(L, dominated_drift(i, a, eps), K))
+        for i, (L, a) in enumerate(zip(lengths, a_values), start=2)
+    ]
+    t1 = t1_rule(gains)
+    thresholds = [t1]
+    for g in gains:
+        thresholds.append(thresholds[-1] + g)
+    if sigma is not None:
+        n1 = find_M0(float(sigma) / 2, int(math.floor(t1)), profile, method=m0_method)
+    else:
+        n1 = 5 * int(math.ceil(t1))
+    return user_schedule(
+        profile=profile,
+        lengths=[n1, *lengths],
+        a_values=[8.0, *a_values],
+        thresholds=thresholds,
+        sigma=sigma,
+        sigma_phase1=None if sigma is None else float(sigma) / 2,
+    )
+
+
 def log_growth_schedule(
     i_max: int,
     profile: ConstantsProfile | None = None,
@@ -433,47 +474,24 @@ def log_growth_schedule(
     nonnegative; the feasibility checker then passes the whole range by
     construction of the gains and by the positivity of the drifts.
     """
-    from .domination import dominated_drift  # deferred: layering
-
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
     profile = profile if profile is not None else scaled_profile(slack=1e-4)
-    eps = float(profile.slack)
-    K = profile.hoeffding_K
+    phases = range(2, i_max + 1)
+    lengths = [max(1, int(round(length_scale * i**3))) for i in phases]
 
-    # integer threshold gains floor(G_i): the feasibility check G_i >= gain
-    # then holds exactly, with no float-accumulation hair
-    a_vals, lengths, gains = [], [], []
-    for i in range(2, i_max + 1):
-        a = max(8.0, 4.0 * math.log(i + 2.0))
-        L = max(1, int(round(length_scale * i**3)))
-        g = concentration_gain(L, dominated_drift(i, a, eps), K)
-        a_vals.append(a)
-        lengths.append(L)
-        gains.append(math.floor(g))
-
-    if t1 is None:
+    def t1_rule(gains):
+        if t1 is not None:
+            return t1
         cum, deficit = 0, 0
-        for k, i in enumerate(range(2, i_max + 1)):
-            deficit = max(deficit, lengths[k] + (2 * i - 2) - cum)
-            cum += gains[k]
-        t1 = deficit + 1
-    thresholds = [t1]
-    for g in gains:
-        thresholds.append(thresholds[-1] + g)
+        for i, L, g in zip(phases, lengths, gains):
+            deficit = max(deficit, L + (2 * i - 2) - cum)
+            cum += g
+        return deficit + 1
 
-    if sigma is not None:
-        n1 = find_M0(float(sigma) / 2, int(math.floor(t1)), profile,
-                     method=HOEFFDING_CONSERVATIVE)
-    else:
-        n1 = 5 * int(math.ceil(t1))
-    return user_schedule(
-        profile=profile,
-        lengths=[n1] + lengths,
-        a_values=[8.0] + a_vals,
-        thresholds=thresholds,
-        sigma=sigma,
-        sigma_phase1=None if sigma is None else float(sigma) / 2,
+    return _gain_schedule(
+        profile, lengths, [max(8.0, 4.0 * math.log(i + 2.0)) for i in phases],
+        t1_rule, sigma, HOEFFDING_CONSERVATIVE,
     )
 
 
@@ -494,39 +512,16 @@ def steady_drift_schedule(
     desk-scale conditional-success experiments: with the defaults every
     per-phase bound sits at 1 - 1/length^2.
     """
-    from .domination import dominated_drift  # deferred: layering
-
     if n_phases < 2:
         raise ValueError("n_phases must be >= 2")
     if a_start < 8:
         raise ValueError("a_start must be >= 8")
     profile = profile if profile is not None else scaled_profile()
-    eps = float(profile.slack)
-    K = profile.hoeffding_K
-
-    if t1 is None:
-        t1 = length + 20
-    a_vals, gains = [], []
-    for i in range(2, n_phases + 1):
-        a = a_start + a_step * (i - 2)
-        g = concentration_gain(length, dominated_drift(i, a, eps), K)
-        a_vals.append(a)
-        gains.append(math.floor(g))
-    thresholds = [t1]
-    for g in gains:
-        thresholds.append(thresholds[-1] + g)
-
-    if sigma is not None:
-        n1 = find_M0(float(sigma) / 2, int(math.floor(t1)), profile)
-    else:
-        n1 = 5 * int(math.ceil(t1))
-    return user_schedule(
-        profile=profile,
-        lengths=[n1] + [length] * (n_phases - 1),
-        a_values=[8.0] + a_vals,
-        thresholds=thresholds,
-        sigma=sigma,
-        sigma_phase1=None if sigma is None else float(sigma) / 2,
+    t1 = length + 20 if t1 is None else t1
+    return _gain_schedule(
+        profile, [length] * (n_phases - 1),
+        [a_start + a_step * (i - 2) for i in range(2, n_phases + 1)],
+        lambda gains: t1, sigma, "auto",
     )
 
 

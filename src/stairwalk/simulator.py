@@ -493,6 +493,11 @@ class ControlSummary:
 
 
 _QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
+# the fast-growth control: its reported rule, the share of the horizon at
+# its end whose occupancy is counted, and the top of the "low" states
+_GROWTH_LABEL = "n^2+8"
+_TAIL_FRACTION = 0.5
+_LOW_THRESHOLD = 4
 
 
 def run_control(
@@ -502,9 +507,6 @@ def run_control(
     base_seed: int,
     a: float = 8.0,
     growth: Callable[[int], float] | None = None,
-    growth_label: str = "n^2+8",
-    tail_fraction: float = 0.5,
-    low_threshold: int = 4,
     threads: int | None = None,
 ) -> ControlSummary:
     """Qualitative control runs for the two limiting regimes.
@@ -514,9 +516,9 @@ def run_control(
     that never stepped down (1.0 is expected at a = 8).
 
     mode="fast-growth": a_n from `growth` (default n^2 + 8, growing so fast
-    the walk behaves like the draw-from-target sampler); reports the tail
-    occupancy histogram of s, its mode, and the fraction of tail time spent
-    at s <= low_threshold.
+    the walk behaves like the draw-from-target sampler); reports the
+    occupancy histogram of s over the last half of the horizon, its mode,
+    and the fraction of that time spent at s <= 4.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -535,7 +537,7 @@ def run_control(
 
     elif mode == "fast-growth":
         rule = growth if growth is not None else (lambda n: float(n * n + 8))
-        tail_start = max(0, int(horizon * (1.0 - tail_fraction)))
+        tail_start = max(0, int(horizon * (1.0 - _TAIL_FRACTION)))
 
         def job(seeds):
             s = np.zeros(len(seeds), dtype=np.int64)
@@ -545,7 +547,7 @@ def run_control(
             _advance(steps, tail_start)
             for _ in steps:
                 hist += np.bincount(s, minlength=horizon + 2)
-                low += int((s <= low_threshold).sum())
+                low += int((s <= _LOW_THRESHOLD).sum())
             return s, hist, low
 
     else:
@@ -569,7 +571,7 @@ def run_control(
     hist = sum(p[1] for p in parts)
     tail_steps = int(hist.sum())
     support = int(np.nonzero(hist)[0].max()) if hist.any() else 0
-    summary.growth_rule = growth_label
+    summary.growth_rule = _GROWTH_LABEL
     summary.occupancy_mode = int(np.argmax(hist))
     low = sum(p[2] for p in parts)
     summary.low_state_fraction = low / tail_steps if tail_steps else None

@@ -22,9 +22,10 @@ Claims:
 C1-C6 read one per-phase record, built once per audit and only as far as
 the claims run read it: a_i as the schedule gives it; c_i and b_i at zero
 slack as integers over one positive denominator, exact from a_i's integer
-ratio (b_i - c_i over it is the C2 left side); and the law Z_i in the
-profile's arithmetic: the same integers with the slack added under an exact
-profile, the exact ratios of the float masses under a float profile.  C2-C4
+ratio (b_i - c_i over it is the C2 left side); and the law Z_i, from the
+one Z_i formula `domination._z_ratio`, as integers over one positive
+denominator in the profile's arithmetic: exact masses under an exact
+profile, the exact ratios of the float masses under a float one.  C2-C4
 compare these integers by cross-multiplication and build a Fraction only for
 a witness.
 
@@ -49,7 +50,6 @@ that cross-check explicitly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,13 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import PAPER_LITERAL, Number
-from .domination import (
-    ZDistribution,
-    _c_b_ratio,
-    _margins,
-    _z_ratio,
-    z_distribution,
-)
+from .domination import _c_b_ratio, _margins, _z_ratio, z_distribution
 from .kernel import flat_step_distribution, monotonicity_violation
 
 HOLDS = "holds"
@@ -173,20 +167,10 @@ class _PhaseRecord:
         profile, by their exact ratios.  Raises ZDistribution's ValueError
         at the first phase whose Z_i is not a law."""
         slack = self.schedule.profile.slack
-        out = {}
-        for i in self.phases:
-            exact = _z_ratio(i, self.a[i], slack)
-            if exact is not None:
-                c, b, den = exact
-                if not (c >= 0 and b >= 0 and c + b <= den):
-                    ZDistribution(i, Fraction(c, den), Fraction(b, den),
-                                  Fraction(den - c - b, den))  # raises
-            else:
-                z = z_distribution(i, self.schedule)
-                (c, c_den), (b, b_den) = z.c.as_integer_ratio(), z.b.as_integer_ratio()
-                den = math.lcm(c_den, b_den)
-                c, b = c * (den // c_den), b * (den // b_den)
-            out[i] = (c, b, den)
+        out = {i: _z_ratio(i, self.a[i], slack) for i in self.phases}
+        for i, (c, b, den) in out.items():
+            if not (c >= 0 and b >= 0 and c + b <= den):
+                z_distribution(i, self.schedule)  # raises
         return out
 
 

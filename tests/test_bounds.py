@@ -64,13 +64,12 @@ def test_phase_success_bound_values(paper_schedule):
 
 
 def test_phase_success_bound_vacuous_flag():
-    # M - 2 = 2 gives denominator 4: 1 - 2/4 = 1/2; M - 2 = 1 is vacuous
+    # M - 2 = 2 gives denominator 4: 1 - 2/4 = 1/2; M - 2 = 1 is vacuous,
+    # and a vacuous bound is exactly the one that reads 0
     sched = PhaseSchedule(mode="paper-literal", profile=paper_profile(), M=4, M0=5)
-    value, vacuous = phase_success_bound(2, sched, with_flag=True)
-    assert (value, vacuous) == (0.5, False)
+    assert phase_success_bound(2, sched) == 0.5
     sched = PhaseSchedule(mode="paper-literal", profile=paper_profile(), M=3, M0=5)
-    value, vacuous = phase_success_bound(2, sched, with_flag=True)
-    assert value == 0.0 and vacuous
+    assert phase_success_bound(2, sched) == 0.0
 
 
 def test_failure_mass_is_summable():

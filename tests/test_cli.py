@@ -152,7 +152,14 @@ def test_dp_command(scaled_file, tmp_path, capsys):
     assert law_csv.read_text().startswith("n,s,mass")
     doc = json.loads(out_json.read_text())
     assert 0 < doc["probability"] < 1
+    assert "run_metadata" not in doc
     assert "P(S_40 > 10)" in capsys.readouterr().out
+    # --metadata reaches the event-probability JSON, as in every command
+    assert main(["dp", "--schedule", scaled_file, "--horizon", "40", "--threshold", "10",
+                 "--json", str(out_json), "--metadata"]) == 0
+    meta = json.loads(out_json.read_text())
+    assert meta.pop("run_metadata")["profile"] == scaled_profile().to_json()
+    assert meta == doc
 
 
 def test_dp_rational_mode(scaled_file, capsys):
@@ -326,6 +333,15 @@ def test_usage_errors(user_file, scaled_file, tmp_path, capsys, monkeypatch):
         assert main(simulate + argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "threads" in lines[0]
+    # --threads belongs to the Monte Carlo commands only
+    for argv in (["audit", "--schedule", scaled_file], ["bound", "--sigma", "0.5", "--M", "146"],
+                 ["dp", "--schedule", scaled_file, "--horizon", "5", "--threshold", "1"],
+                 ["feasibility", "--schedule", scaled_file, "--i-max", "3"],
+                 ["schedule", "--sigma", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 1
+        assert "--threads" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1

@@ -18,7 +18,7 @@ from stairwalk import (
     user_schedule,
     z_distribution,
 )
-from stairwalk.domination import dominated_drift, domination_margins
+from stairwalk.domination import _c_b, _z_ratio, dominated_drift, domination_margins
 
 
 def test_z_distribution_paper_i2(paper_schedule):
@@ -83,6 +83,23 @@ def test_z_matches_fraction_chain(i, a, slack):
     assert type(z.c) is type(c)
     mean = mean_z(i, schedule)
     assert mean == b - c and type(mean) is type(b - c)
+    drift = dominated_drift(i, a, slack)
+    assert drift == mean and type(drift) is type(mean)
+
+
+def test_int_a_stays_exact():
+    drift = dominated_drift(3, 16, Fraction(1, 10000))
+    assert drift == Fraction(3737, 65000) and type(drift) is Fraction
+    assert drift == dominated_drift(3, Fraction(16), Fraction(1, 10000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(2, 10**6), a=st.floats(min_value=8, max_value=1e6),
+       slack=st.floats(min_value=0, max_value=0.01))
+def test_z_ratio_gives_back_the_float_masses(i, a, slack):
+    c, b, den = _z_ratio(i, a, slack)
+    assert den > 0
+    assert (c / den, b / den) == _c_b(i, a, slack)
 
 
 def test_validity_bounds_along_rule_values(paper_schedule):

@@ -1,5 +1,6 @@
 """Schedule construction: M and M0 searches, rule values, feasibility."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -136,6 +137,23 @@ def test_paper_schedule_values(paper_schedule):
     assert [s.threshold(i) for i in (1, 2, 3)] == [s.M, s.M + 4, s.M + 8]
     assert s.strict_threshold(1) and not s.strict_threshold(2)
     assert s.required_gain(2) == 4
+
+
+def test_a_of_phase_keeps_int_constants_exact():
+    # drift_target = 1 and a_offset = 0: a_2 = 8*5/4 and a_3 = 8*13/6
+    profile = dataclasses.replace(paper_profile(), drift_target=1, a_offset=0)
+    s = PhaseSchedule(mode="paper-literal", profile=profile, M=10, M0=5)
+    assert [s.a_of_phase(i) for i in (2, 3)] == [10, Fraction(52, 3)]
+    assert all(type(s.a_of_phase(i)) is Fraction for i in (2, 3))
+    # a float anywhere keeps the closed form's float value bit for bit
+    for profile in (scaled_profile(), scaled_profile(a_offset=0.0),
+                    dataclasses.replace(paper_profile(), drift_target=1, a_offset=1e-3)):
+        s = PhaseSchedule(mode="paper-literal", profile=profile, M=10, M0=5)
+        mu, off = profile.drift_target, profile.a_offset
+        for i in (2, 3, 77, 10**6):
+            a = s.a_of_phase(i)
+            assert a == 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
+            assert type(a) is float
 
 
 def test_paper_schedule_phase1_sizing(paper_schedule):

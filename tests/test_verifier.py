@@ -105,17 +105,27 @@ def test_audit_builds_each_phase_once(paper_schedule, scaled_schedule, monkeypat
 
     monkeypatch.setattr(verifier, "z_distribution", counted("z", verifier.z_distribution))
     monkeypatch.setattr(PhaseSchedule, "a_of_phase", counted("a", PhaseSchedule.a_of_phase))
-    # exact: a_1..a_300 once, and each Z_i from the record's integers
-    audit_all(paper_schedule, i_max=300, x_depth=10)
-    assert calls == {"a": 300}
-    # float: a_1..a_300 once, plus the one read inside each z_distribution
-    calls.clear()
-    audit_all(scaled_schedule, i_max=300, x_depth=10)
-    assert calls == {"a": 300 + 299, "z": 299}
+    # a_1..a_300 once, and each Z_i from the record's integers, in both
+    # arithmetics
     for schedule in (paper_schedule, scaled_schedule):
+        calls.clear()
+        audit_all(schedule, i_max=300, x_depth=10)
+        assert calls == {"a": 300}
         calls.clear()
         audit_single("C1", schedule, i_max=300)
         assert calls == {"a": 300}
+
+
+@pytest.mark.parametrize("num", [Fraction, lambda p, q=1: p / q])
+def test_record_rejects_a_z_that_is_not_a_law(num):
+    # a_2 = 8 and slack 1/2 give b_2 = 1/5 - 1/2 < 0, in either arithmetic;
+    # the record raises the ValueError that ZDistribution raises
+    profile = ConstantsProfile(drift_floor=num(1, 100), drift_target=num(2), slack=num(1, 2),
+                               a_offset=num(0), overshoot=4, hoeffding_K=1)
+    schedule = PhaseSchedule(mode=PAPER_LITERAL, profile=profile, M=10, M0=5)
+    with pytest.raises(ValueError) as exc:
+        audit_single("C4", schedule, i_max=5)
+    assert str(exc.value) == f"component {num(-3, 10)} outside [0, 1]"
 
 
 def test_audit_ranges_are_checked(paper_schedule):
