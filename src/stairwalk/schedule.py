@@ -14,10 +14,12 @@ mode takes explicit per-phase (length, a, threshold) triples.
 `find_M` sizes M so the concentration gain delta*m - 2*sqrt(K m ln m)
 clears the overshoot for every m >= M-2; `find_M0` sizes phase 1 so a
 Binomial(m, 1/5) walk exceeds M with probability > 1 - sigma for every
-m >= M0.  `check_schedule_feasibility` mechanizes the induction conditions
-(positive drift, sufficient gain, nonnegative worst-case height margin)
-phase by phase, so broken schedules are reported instead of silently
-simulated.
+m >= M0.  Up to M = 10^4 it searches in stdlib integers, with the tail's
+exact recurrence in m: the tail is nondecreasing in m, so the first m that
+passes is M0 and no guard window is needed.  `check_schedule_feasibility`
+mechanizes the induction conditions (positive drift, sufficient gain,
+nonnegative worst-case height margin) phase by phase, so broken schedules
+are reported instead of silently simulated.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .core import (
 EXACT_BINOMIAL = "exact-binomial"
 HOEFFDING_CONSERVATIVE = "hoeffding-conservative"
 
-# exact binomial evaluation is cheap up to roughly this M; beyond it the
-# provably monotone conservative bound is the default
+# the exact search is cheap up to roughly this M (~0.1 s at 10^4); beyond
+# it the provably monotone conservative bound is the default
 _EXACT_M0_LIMIT = 10_000
 
 _SCAN_CHUNK = 1 << 20
@@ -92,55 +94,134 @@ def find_M(profile: ConstantsProfile) -> int:
     return m_star + 3 if m_star else 1
 
 
+def _log_lower_tail(m: int, M: int, p: float) -> float:
+    """ln P(Binomial(m, p) <= M) in floats, for m > M >= 0 and 0 < p < 1.
+
+    The point mass at M stays a logarithm, so it never underflows, and the
+    masses below it are summed relative to it, downward from j = M.  That
+    sum overflows to inf only when M lies so far above the mean that the
+    lower tail is within 1e-300 of 1, where inf reads as "not yet crossed",
+    which is right for any sigma a float can tell from 1.  Only steers
+    `_exact_M0`; never decides.
+    """
+    log_mass = (math.lgamma(m + 1) - math.lgamma(M + 1) - math.lgamma(m - M + 1)
+                + M * math.log(p) + (m - M) * math.log1p(-p))
+    odds = (1.0 - p) / p
+    total = term = 1.0
+    for j in range(M, 0, -1):
+        ratio = j * odds / (m - j + 1)  # mass(j - 1) / mass(j), falling as j does
+        term *= ratio
+        total += term
+        if ratio < 1 and term < total * 1e-17:
+            break
+    return log_mass + math.log(total)
+
+
+def _lower_tail(m: int, M: int, a: int, b: int) -> tuple[int, int]:
+    """(q^m P(Bin(m, a/q) <= M), q^m P(Bin(m, a/q) = M)) as ints, q = a + b,
+    m >= M: the homogeneous Horner sum S_j = b S_{j-1} + C(m, j) a^j."""
+    s = t = 1  # t = C(m, j) a^j
+    for j in range(1, M + 1):
+        t = t * (m - j + 1) * a // j
+        s = s * b + t
+    rest = b ** (m - M)
+    return s * rest, t * rest
+
+
+def _locate_M0(sigma: Fraction, M: int, p: Fraction) -> int:
+    """A guess above M at `_exact_M0`'s answer, by float bisection on the
+    log lower tail, bracketed from ceil(M/p); 0 < p < 1.  It only steers."""
+    pf, target = float(p), math.log(sigma.numerator) - math.log(sigma.denominator)
+    lo, hi = M, max(-(-M * p.denominator // p.numerator), M + 1)
+    while _log_lower_tail(hi, M, pf) >= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_lower_tail(mid, M, pf) < target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _exact_M0(sigma: Fraction, M: int, p: Fraction, start: int) -> int:
+    """Least m with P(Binomial(m, p) > M) > 1 - sigma, exactly, for
+    0 < p < 1, found by walking from any start > M.
+
+    With p = a/q, C_m = q^m P(Bin <= M) and P_m = q^m P(Bin = M) are
+    integers, and one step of m is exact either way:
+
+        C_{m+1} = q C_m - a P_m,    P_{m+1} = P_m (m+1)(q-a) / (m+1-M).
+
+    The lower tail C_m / q^m only falls as m grows, so the first m with
+    C_m < sigma q^m is the answer, and every later m satisfies the bound
+    too.  For m <= M the lower tail is 1, so the answer exceeds M.  One
+    Horner sum evaluates C and P at the start, and the recurrence steps
+    until the test flips.
+    """
+    a, q = p.numerator, p.denominator
+    b = q - a
+    num, den = sigma.numerator, sigma.denominator
+    m = start
+    C, P = _lower_tail(m, M, a, b)
+    qm = q**m
+    if C * den < num * qm:
+        while m - 1 > M:
+            P_back = P * (m - M) // (m * b)
+            C_back = (C + a * P_back) // q
+            q_back = qm // q
+            if not C_back * den < num * q_back:
+                break
+            m, C, P, qm = m - 1, C_back, P_back, q_back
+        return m
+    while not C * den < num * qm:
+        C, P = q * C - a * P, P * (m + 1) * b // (m + 1 - M)
+        m, qm = m + 1, qm * q
+    return m
+
+
 def find_M0(
     sigma: Number,
     M: int,
     profile: ConstantsProfile | None = None,
     method: str = "auto",
 ) -> int:
-    """Least m0 such that P(Binomial(m, 1/5) > M) > 1 - sigma for all m >= m0.
+    """Least m0 such that P(Binomial(m, p) > M) > 1 - sigma for all m >= m0,
+    where p is ``profile.phase1_up_floor`` (1/5 without a profile).
 
-    ``exact-binomial`` evaluates the survival function and scans with a
-    monotonicity guard (the survival probability is nondecreasing in m, so
-    the guard is defensive).  ``hoeffding-conservative`` returns the least
-    m with m/5 > M and exp(-2(m/5 - M)^2 / m) <= sigma; the bound dominates
-    P(Bin <= M) and is decreasing in m, so the for-all quantifier holds.
+    ``exact-binomial`` searches in integers, with p and sigma at their exact
+    values (a float enters at its binary value).  The tail is nondecreasing
+    in m, so the least m that satisfies the bound satisfies it for every
+    larger m as well, and no guard is needed.  ``hoeffding-conservative``
+    returns the least m with m p > M and exp(-2(m p - M)^2 / m) <= sigma;
+    the bound dominates P(Bin <= M) and is decreasing in m, so the for-all
+    quantifier holds.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    p = float(profile.phase1_up_floor) if profile is not None else 0.2
+    floor = profile.phase1_up_floor if profile is not None else Fraction(1, 5)
     sig = float(sigma)
     if not 0 <= sig < 1:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
+    if floor == 0:
+        raise ValueError(
+            "phase1_up_floor = 0 makes the phase-1 tail P(Bin(m, 0) > M) zero "
+            "for every m, so it is unsatisfiable; use phase1_up_floor > 0"
+        )
     if method == "auto":
         method = EXACT_BINOMIAL if M <= _EXACT_M0_LIMIT else HOEFFDING_CONSERVATIVE
 
     if method == EXACT_BINOMIAL:
-        from scipy import stats  # deferred: ~1 s to import, and only this branch needs it
-
-        if sig == 0:
+        sigma = Fraction(sigma)
+        if sigma == 0:
             raise ValueError(
                 "sigma = 0 is unsatisfiable for exact-binomial "
                 "(the tail is never certain); use sigma > 0"
             )
-        guard = 64
-        m_lo = 1
-        upper = max(int((M + 1) / p * 1.5) + 200, 64)
-        while True:
-            m = np.arange(m_lo, m_lo + upper)
-            ok = stats.binom.sf(M, m, p) > 1.0 - sig
-            bad = np.nonzero(~ok)[0]
-            if len(bad) == 0 and m_lo > 1:
-                # every value in this guard window is fine
-                return candidate
-            if len(bad) == 0:
-                return 1
-            last_bad = m_lo + int(bad[-1])
-            candidate = last_bad + 1
-            if candidate + guard <= m_lo + len(m):
-                return candidate
-            m_lo = candidate
-            upper = guard
+        p = Fraction(floor)
+        if p == 1:  # Bin(m, 1) = m
+            return M + 1
+        return _exact_M0(sigma, M, p, _locate_M0(sigma, M, p))
 
     if method == HOEFFDING_CONSERVATIVE:
         if sig == 0:
@@ -148,6 +229,7 @@ def find_M0(
                 "sigma = 0 is unsatisfiable (the tail is never certain); "
                 "use sigma > 0"
             )
+        p = float(floor)
         log_sig = math.log(sig)
         m = int(math.floor(M / p)) + 1
         # closed-form start: 2(m*p - M)^2 / m = ln(1/sigma), then scan up

@@ -493,9 +493,11 @@ class ControlSummary:
 
 
 _QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
-# the fast-growth control: its reported rule, the share of the horizon at
-# its end whose occupancy is counted, and the top of the "low" states
+# the fast-growth control: its reported default and custom rules, the share
+# of the horizon at its end whose occupancy is counted, and the top of the
+# "low" states
 _GROWTH_LABEL = "n^2+8"
+_CUSTOM_GROWTH_LABEL = "custom"
 _TAIL_FRACTION = 0.5
 _LOW_THRESHOLD = 4
 
@@ -518,7 +520,8 @@ def run_control(
     mode="fast-growth": a_n from `growth` (default n^2 + 8, growing so fast
     the walk behaves like the draw-from-target sampler); reports the
     occupancy histogram of s over the last half of the horizon, its mode,
-    and the fraction of that time spent at s <= 4.
+    and the fraction of that time spent at s <= 4.  `growth_rule` reads
+    "n^2+8" for the default rule and "custom" when `growth` is given.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -571,7 +574,7 @@ def run_control(
     hist = sum(p[1] for p in parts)
     tail_steps = int(hist.sum())
     support = int(np.nonzero(hist)[0].max()) if hist.any() else 0
-    summary.growth_rule = _GROWTH_LABEL
+    summary.growth_rule = _GROWTH_LABEL if growth is None else _CUSTOM_GROWTH_LABEL
     summary.occupancy_mode = int(np.argmax(hist))
     low = sum(p[2] for p in parts)
     summary.low_state_fraction = low / tail_steps if tail_steps else None

@@ -50,6 +50,17 @@ def test_schedule_command_deterministic(tmp_path, capsys):
     assert "a = 8.000000" in captured
 
 
+def test_schedule_zero_phase1_floor_is_one_error_line(tmp_path, capsys):
+    profile = tmp_path / "prof.json"
+    doc = json.loads(scaled_profile().to_json())
+    profile.write_text(json.dumps(dict(doc, phase1_up_floor=0)))
+    capsys.readouterr()
+    assert main(["schedule", "--sigma", "0.5", "--profile", str(profile)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "phase1_up_floor" in lines[0] and "unsatisfiable" in lines[0]
+
+
 def test_schedule_user_mode_requires_phases():
     assert main(["schedule", "--mode", "user-designed"]) == 1
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stairwalk import (
     PhaseSchedule,
@@ -21,6 +22,7 @@ from stairwalk import (
     steady_drift_schedule,
     user_schedule,
 )
+from stairwalk import schedule
 from stairwalk.core import ConstantsProfile
 
 
@@ -68,19 +70,28 @@ def test_find_M_paper_profile_magnitude():
     assert concentration_gain(M - 3, 0.01, 1) < 4
 
 
-def _brute_find_M0(sigma_frac, M, m_hi):
-    """Exact-rational oracle for small scales."""
-    def survival(m):
-        return sum(
-            Fraction(math.comb(m, k)) * Fraction(1, 5) ** k * Fraction(4, 5) ** (m - k)
-            for k in range(M + 1, m + 1)
-        )
-    ok = [survival(m) > 1 - sigma_frac for m in range(1, m_hi)]
-    for m in range(len(ok), 0, -1):
-        if not ok[m - 1]:
-            assert m + 1 < m_hi - 5
-            return m + 1
-    return 1
+def _brute_find_M0(sigma, M, m_hi=None, p=Fraction(1, 5)):
+    """Exact-rational oracle for small scales: scans the quantifier directly.
+
+    P(Bin(m, p) > M) > 1 - sigma is decided as q^m P(Bin <= M) den < num q^m
+    for p = a/q and sigma = num/den, summing the lower masses anew for every
+    m < m_hi.  Without m_hi the window runs to twice the first m that
+    passes, plus 10.
+    """
+    sigma, p = Fraction(sigma), Fraction(p)
+    a, q = p.numerator, p.denominator
+
+    def ok(m):
+        lower = sum(math.comb(m, k) * a**k * (q - a) ** (m - k) for k in range(min(M, m) + 1))
+        return lower * sigma.denominator < sigma.numerator * q**m
+
+    if m_hi is None:
+        m_hi = 2 * next(m for m in range(1, 10**6) if ok(m)) + 10
+    bad = [m for m in range(1, m_hi) if not ok(m)]
+    if not bad:
+        return 1
+    assert bad[-1] + 1 < m_hi - 5, "oracle scan window too small"
+    return bad[-1] + 1
 
 
 @pytest.mark.parametrize(
@@ -97,6 +108,63 @@ def test_find_M0_exact_against_rational_oracle(sigma, M, m_hi, expected):
     assert got == _brute_find_M0(sigma, M, m_hi)
     if expected is not None:
         assert got == expected
+
+
+_FLOORS = [Fraction(1, 5), Fraction(1, 3), Fraction(2, 7), Fraction(1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    M=st.integers(0, 30),
+    p=st.sampled_from(_FLOORS),
+    sigma=st.one_of(
+        st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+        st.fractions(min_value=Fraction(1, 10**12), max_value=1, max_denominator=10**12)
+        .filter(lambda f: f < 1),
+    ),
+)
+@example(M=0, p=Fraction(1, 5), sigma=Fraction(4, 5) ** 3)  # a tie at m = 3; M0 = 4
+def test_find_M0_exact_matches_oracle_for_any_floor(M, p, sigma):
+    profile = dataclasses.replace(scaled_profile(), phase1_up_floor=p)
+    assert find_M0(sigma, M, profile, method="exact-binomial") == _brute_find_M0(sigma, M, p=p)
+
+
+# recorded with the float binomial search this exact one replaced
+@pytest.mark.parametrize(
+    "sigma,M,expected",
+    [(0.25, 146, 771), (0.005, 1020, 5482), (0.1, 1000, 5187), (0.5, 10**4, 50004),
+     (0.01, 10**4, 51052), (0.9, 3, 10), (0.5, 0, 4)],
+)
+def test_find_M0_exact_pinned_values(sigma, M, expected):
+    assert find_M0(sigma, M, method="exact-binomial") == expected
+    # the float locator lands on the answer, so the exact walk takes one test
+    assert schedule._locate_M0(Fraction(sigma), M, Fraction(1, 5)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.integers(0, 30),
+    p=st.sampled_from(_FLOORS[:-1]),
+    sigma=st.fractions(min_value=Fraction(1, 10**9), max_value=1, max_denominator=10**9)
+    .filter(lambda f: f < 1),
+    offset=st.integers(1, 500),
+)
+@example(M=0, p=Fraction(1, 3), sigma=Fraction(9, 10), offset=5)  # M0 = M + 1
+# sigma equal to the lower tail at m = 3, starting above, at and below it:
+# the bound is strict, so M0 = 4
+@example(M=0, p=Fraction(1, 5), sigma=Fraction(4, 5) ** 3, offset=6)
+@example(M=0, p=Fraction(1, 5), sigma=Fraction(4, 5) ** 3, offset=3)
+@example(M=0, p=Fraction(1, 5), sigma=Fraction(4, 5) ** 3, offset=1)
+def test_exact_M0_walks_to_the_oracle_from_any_start(M, p, sigma, offset):
+    # the locator only steers: from any start above M, backwards or
+    # forwards, the exact recurrence reaches the same M0
+    assert schedule._exact_M0(sigma, M, p, M + offset) == _brute_find_M0(sigma, M, p=p)
+
+
+def test_find_M0_exact_past_auto_limit_below_conservative():
+    M = 10**4 + 1  # auto picks Hoeffding here
+    assert find_M0(0.5, M) == find_M0(0.5, M, method="hoeffding-conservative")
+    assert find_M0(0.5, M, method="exact-binomial") <= find_M0(0.5, M)
 
 
 def test_find_M0_conservative():
@@ -120,6 +188,13 @@ def test_find_M0_sigma_zero_unsatisfiable():
         find_M0(0.0, 5, method="exact-binomial")
     with pytest.raises(ValueError, match="unsatisfiable"):
         find_M0(0.0, 5, method="hoeffding-conservative")
+
+
+@pytest.mark.parametrize("method", ["exact-binomial", "hoeffding-conservative", "auto"])
+def test_find_M0_zero_floor_unsatisfiable(method):
+    profile = dataclasses.replace(scaled_profile(), phase1_up_floor=Fraction(0))
+    with pytest.raises(ValueError, match="phase1_up_floor.*unsatisfiable"):
+        find_M0(0.5, 146, profile, method=method)
 
 
 # ----------------------------------------------------------------------

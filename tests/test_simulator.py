@@ -422,6 +422,12 @@ def test_control_fast_growth_concentrates_low():
     assert sum(out.tail_histogram) > 0
 
 
+def test_control_growth_rule_label():
+    default = run_control("fast-growth", 50, 4, SEED, threads=1)
+    custom = run_control("fast-growth", 50, 4, SEED, growth=lambda n: 9.0, threads=1)
+    assert (default.growth_rule, custom.growth_rule) == ("n^2+8", "custom")
+
+
 def test_control_validation():
     with pytest.raises(ValueError):
         run_control("constant", 100, 10, SEED, a=7.0)
