@@ -161,12 +161,6 @@ def test_exact_M0_walks_to_the_oracle_from_any_start(M, p, sigma, offset):
     assert schedule._exact_M0(sigma, M, p, M + offset) == _brute_find_M0(sigma, M, p=p)
 
 
-def test_find_M0_exact_past_auto_limit_below_conservative():
-    M = 10**4 + 1  # auto picks Hoeffding here
-    assert find_M0(0.5, M) == find_M0(0.5, M, method="hoeffding-conservative")
-    assert find_M0(0.5, M, method="exact-binomial") <= find_M0(0.5, M)
-
-
 def test_find_M0_conservative():
     # least m >= 51 with exp(-2 (m/5 - 10)^2 / m) <= 0.1
     got = find_M0(0.1, 10, method="hoeffding-conservative")
@@ -176,7 +170,8 @@ def test_find_M0_conservative():
     assert math.exp(-2 * ((m - 1) / 5 - 10) ** 2 / (m - 1)) > 0.1
 
 
-@pytest.mark.parametrize("sigma,M", [(0.5, 0), (0.25, 20), (0.1, 10), (0.9, 3)])
+# 10^4 + 1 is past the limit where auto switches to Hoeffding
+@pytest.mark.parametrize("sigma,M", [(0.5, 0), (0.25, 20), (0.1, 10), (0.9, 3), (0.5, 10**4 + 1)])
 def test_find_M0_exact_below_conservative(sigma, M):
     exact = find_M0(sigma, M, method="exact-binomial")
     conservative = find_M0(sigma, M, method="hoeffding-conservative")
