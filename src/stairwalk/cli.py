@@ -119,7 +119,8 @@ def cmd_audit(args) -> int:
         witness = "-" if claim.witness is None else str(claim.witness)
         print(f"{claim.claim_id:6s} {claim.verdict:12s} {witness}")
     print(f"C2/C3 cross-link consistent: {report.cross_links['c2_c3_consistent']}")
-    dump_json(_attach_metadata(report.to_jsonable(), args, sched.profile), args.out)
+    if args.out:
+        dump_json(_attach_metadata(report.to_jsonable(), args, sched.profile), args.out)
     return 0  # findings are findings, not errors
 
 
@@ -136,7 +137,8 @@ def cmd_simulate(args) -> int:
         freq = "n/a" if ps.frequency is None else f"{ps.frequency:.6f}"
         print(f"phase {ps.i}: attempts={ps.attempts} successes={ps.successes} freq={freq}")
     print(f"product estimate: {result.product_estimate:.6g}")
-    dump_json(_attach_metadata(result.to_jsonable(), args, sched.profile), args.out)
+    if args.out:
+        dump_json(_attach_metadata(result.to_jsonable(), args, sched.profile), args.out)
     if args.csv:
         rows = [("i", "attempts", "successes", "frequency", "wilson_lo",
                  "wilson_hi", "bound_paper", "bound_true_mean")]
@@ -174,7 +176,8 @@ def cmd_bound(args) -> int:
             print(f"M={entry.M}: [{fmt_real(entry.bound.lo)}, {fmt_real(entry.bound.hi)}]{marker}")
         print(f"monotone in M: {report.monotone_in_M}; least M exceeding sigma: "
               f"{report.least_M_exceeding}")
-    dump_json(_attach_metadata(doc, args, None), args.out)
+    if args.out:
+        dump_json(_attach_metadata(doc, args, None), args.out)
     if args.csv:
         dump_csv([("M", "lo", "hi", "exceeds_sigma")] + entries, args.csv)
     return 0
@@ -222,7 +225,8 @@ def cmd_feasibility(args) -> int:
     else:
         i, reason = report.first_violation
         print(f"first violation at phase {i}: {reason}")
-    dump_json(_attach_metadata(report.to_jsonable(), args, sched.profile), args.out)
+    if args.out:
+        dump_json(_attach_metadata(report.to_jsonable(), args, sched.profile), args.out)
     if args.csv:
         dump_csv(report.csv_rows(), args.csv)
     return 0
@@ -242,7 +246,8 @@ def cmd_control(args) -> int:
         print(f"nondecreasing fraction = {summary.nondecreasing_fraction:.4f}")
     else:
         print(f"tail occupancy mode at s = {summary.occupancy_mode}")
-    dump_json(_attach_metadata(summary.to_jsonable(), args, None), args.out)
+    if args.out:
+        dump_json(_attach_metadata(summary.to_jsonable(), args, None), args.out)
     return 0
 
 

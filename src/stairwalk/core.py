@@ -162,7 +162,7 @@ class ConstantsProfile:
             raise ValueError("overshoot must be > 0")
         if not (isinstance(self.hoeffding_K, int) and self.hoeffding_K >= 1):
             raise ValueError("hoeffding_K must be an integer >= 1")
-        if self.phase1_a < 8:
+        if not self.phase1_a >= 8:
             raise ValueError("phase1_a must be >= 8")
         if not 0 <= self.phase1_up_floor <= 1:
             raise ValueError("phase1_up_floor must be a probability")

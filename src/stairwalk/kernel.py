@@ -50,7 +50,7 @@ def _check_law(*parts: Number):
     """Raise a ValueError unless the masses of a law lie in [0, 1] and sum,
     in the order given, to 1: exactly if all are exact, else within _SUM_TOL."""
     for p in parts:
-        if p < 0 or p > 1:
+        if not 0 <= p <= 1:  # also rejects NaN
             raise ValueError(f"component {p} outside [0, 1]")
     total = sum(parts)
     exact = all(isinstance(p, (int, Fraction)) for p in parts)
@@ -78,7 +78,7 @@ class StepDistribution:
 
 
 def _check_a(a: Number) -> Number:
-    if a < 8:
+    if not a >= 8:  # also rejects NaN
         raise ValueError(f"adaptation value must satisfy a >= 8, got {a}")
     # ints promote to Fraction so that division stays exact
     return Fraction(a) if isinstance(a, int) else a
@@ -276,6 +276,6 @@ def _inverse_cdf(u: np.ndarray, p_down, up_from) -> np.ndarray:
 
 def step_prob_tables(s_max: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense (p_down, p_up) lookup tables for s in [0, s_max]."""
-    if a < 8:
+    if not a >= 8:
         raise ValueError(f"adaptation value must satisfy a >= 8, got {a}")
     return flat_step_probs_at(np.arange(s_max + 1, dtype=np.int64), float(a))

@@ -183,7 +183,7 @@ def tail_probability(law: TransientLaw, threshold, strict: bool = True):
     if not isinstance(law.mass, np.ndarray):
         return law.prob_greater(threshold, strict=strict)
     defect = law.mass_defect()
-    if defect > _FLOAT_DEFECT_TOL:
+    if not defect <= _FLOAT_DEFECT_TOL:  # a NaN defect fails too
         raise ArithmeticError(
             f"transient mass drifted by {defect:.3e}; horizon too deep "
             "for float mode"

@@ -292,7 +292,7 @@ class PhaseSchedule:
                 raise ValueError("phase lengths must be >= 1")
             if self.a_values[0] != 8:
                 raise ValueError("phase 1 must run at a = 8")
-            if any(a < 8 for a in self.a_values):
+            if not all(a >= 8 for a in self.a_values):  # NaN fails too
                 raise ValueError("adaptation values must be >= 8")
             rest = self.a_values[1:]
             if any(rest[k + 1] < rest[k] for k in range(len(rest) - 1)):
@@ -596,7 +596,7 @@ def steady_drift_schedule(
     """
     if n_phases < 2:
         raise ValueError("n_phases must be >= 2")
-    if a_start < 8:
+    if not a_start >= 8:
         raise ValueError("a_start must be >= 8")
     profile = profile if profile is not None else scaled_profile()
     t1 = length + 20 if t1 is None else t1

@@ -3,17 +3,27 @@
 CSV cells carry reals formatted with 17 significant digits; JSON uses native
 floats, whose text form round-trips to the exact same double.  Fractions are
 encoded as "p/q" strings in both.
+
+`dump_json` writes the text of `json.dumps(..., indent=2)` on the report
+reduced to plain JSON values, byte for byte, but walks the report once: exact
+dicts, lists and scalars are encoded as they are met, everything else is
+reduced first (`to_jsonable`, dataclass fields, "p/q" Fractions, tuples,
+numpy scalars and arrays).  A list of flat dicts that share their keys in
+order is written from one row template, so a report with 10^4 per-phase rows
+costs one `%` format rather than 10^4 recursive calls.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
+
+_INF = float("inf")
 
 
 def fmt_real(x) -> str:
@@ -25,33 +35,122 @@ def fmt_real(x) -> str:
     return str(x)
 
 
-def jsonable(obj):
-    """Recursively reduce package objects to JSON-encodable structures."""
+def _encode_float(x) -> str:
+    # json's own spelling of the non-finite values, float repr otherwise
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# Encoders by exact type; subclasses (an IntEnum, np.float64) go through
+# `_encode_other`, so that a reduction can never lead back to itself.
+_SCALARS = {
+    str: _encode_str,
+    float: _encode_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, indent: str) -> str:
+    """The indent-2 JSON text of `obj`, whose closing bracket, if it has one,
+    follows a newline and `indent`."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    if kind is dict:
+        return _encode_dict(obj, indent)
+    if kind is list:
+        return _encode_list(obj, indent)
+    return _encode_other(obj, indent)
+
+
+def _encode_dict(obj: dict, indent: str) -> str:
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    items = [f"{_encode_str(str(k))}: {_encode(v, inner)}" for k, v in obj.items()]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
+def _encode_list(obj: list, indent: str) -> str:
+    if not obj:
+        return "[]"
+    inner = indent + "  "
+    rows = _encode_rows(obj, inner)
+    if rows is None:
+        rows = (",\n" + inner).join([_encode(v, inner) for v in obj])
+    return "[\n" + inner + rows + "\n" + indent + "]"
+
+
+def _encode_rows(obj: list, indent: str) -> str | None:
+    """The list's items, each at `indent` and comma-separated, when every
+    item is a dict with the first item's str keys in the same order and only
+    exact scalar values; None otherwise."""
+    first = obj[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = list(first)
+    # `==` on lists compares order too; on sets of keys it would not, and
+    # values would land under the wrong keys
+    if any(type(k) is not str for k in keys) or not all(
+        type(r) is dict and list(r) == keys for r in obj
+    ):
+        return None
+    values = [v for r in obj for v in r.values()]
+    if not _SCALARS.keys() >= set(map(type, values)):
+        return None
+    inner = indent + "  "
+    fields = (",\n" + inner).join(
+        [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]
+    )
+    row = "{\n" + inner + fields + "\n" + indent + "}"
+    return (",\n" + indent).join([row] * len(obj)) % tuple(
+        [_SCALARS[type(v)](v) for v in values]
+    )
+
+
+def _encode_other(obj, indent: str) -> str:
+    """Reduce what is not an exact dict, list or scalar, in the order the
+    package has always used, and encode the result."""
     if hasattr(obj, "to_jsonable"):
-        return jsonable(obj.to_jsonable())
+        return _encode(obj.to_jsonable(), indent)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
+        return _encode(dataclasses.asdict(obj), indent)
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return _encode_str(f"{obj.numerator}/{obj.denominator}")
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return _encode_dict(obj, indent)
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return _encode_list(list(obj), indent)
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        # list() raises for a 0-d array, whose tolist() is a scalar
+        return _encode_list(list(obj.tolist()), indent)
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _encode_float(float(obj))
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _encode_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def dump_json(obj, path: str | Path | None) -> str:
-    text = json.dumps(jsonable(obj), indent=2)
-    if path is not None:
-        Path(path).write_text(text + "\n")
+def dump_json(obj, path: str | Path) -> str:
+    """Write `obj` as indent-2 JSON and a newline to `path`; return the text."""
+    text = _encode(obj, "")
+    Path(path).write_text(text + "\n")
     return text
 
 
@@ -67,7 +166,7 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
     """Write (n, s, mass) rows for every law of S_n, or only for those whose
     n is in `boundaries`, leaving out zero masses; rational masses go out as
     floats.  The bytes are those of `dump_csv` on the same rows, but each
-    law's rows are formatted in one join over its nonzero entries."""
+    law's rows are formatted by one `%` over its nonzero entries."""
     with open(path, "w", newline="") as fp:
         fp.write("n,s,mass\r\n")
         for law in laws:
@@ -75,5 +174,7 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
                 continue
             mass = np.asarray(law.mass, dtype=np.float64)
             support = np.flatnonzero(mass)
-            fp.write("".join([f"{law.n},{s},{m:.17g}\r\n"
-                              for s, m in zip(support.tolist(), mass[support].tolist())]))
+            flat = [None] * (2 * len(support))
+            flat[0::2] = support.tolist()
+            flat[1::2] = mass[support].tolist()
+            fp.write((f"{law.n},%d,%.17g\r\n" * len(support)) % tuple(flat))

@@ -525,8 +525,10 @@ def run_control(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     if mode == "constant":
-        if a < 8:
+        if not a >= 8:  # also rejects NaN
             raise ValueError("constant mode needs a >= 8")
         segments = [Segment(horizon, a)]
         tables = _step_tables(segments)

@@ -294,6 +294,38 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
+def test_reports_are_not_encoded_without_out(user_file, scaled_file, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("dump_json called without --out")
+
+    monkeypatch.setattr("stairwalk.cli.dump_json", refuse)
+    for argv in (["audit", "--schedule", scaled_file, "--i-max", "5", "--x-depth", "5"],
+                 ["simulate", "--schedule", user_file, "--phases", "1", "--reps", "10"],
+                 ["bound", "--sigma", "0.5", "--M", "146"],
+                 ["feasibility", "--schedule", scaled_file, "--i-max", "4"],
+                 ["control", "--mode", "constant", "--horizon", "50", "--reps", "5"]):
+        assert main(argv) == 0
+
+
+def test_nan_adaptation_values_are_one_error_line(user_file, tmp_path, capsys):
+    doc = json.loads(Path(user_file).read_text())
+    doc["phases"][1]["a"] = float("nan")
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(json.dumps(doc))
+    control = ["control", "--mode", "constant", "--horizon", "50"]
+    cases = [
+        (control + ["--a", "nan", "--reps", "5"], "a >= 8"),
+        (control + ["--reps", "0"], "replications must be >= 1"),
+        (["dp", "--schedule", str(nan_file), "--horizon", "12", "--threshold", "3"], ">= 8"),
+        (["simulate", "--schedule", str(nan_file), "--phases", "2", "--reps", "10"], ">= 8"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
 def test_usage_errors(user_file, scaled_file, tmp_path, capsys, monkeypatch):
     assert main(["schedule", "--sigma", "1.5"]) == 1       # invalid sigma
     assert main(["audit", "--schedule", "/nonexistent.json"]) == 1

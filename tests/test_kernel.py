@@ -51,6 +51,14 @@ def test_flat_step_rejects_bad_inputs():
         flat_step_distribution(0, 7.999)
     with pytest.raises(ValueError):
         StepDistribution(0.5, 0.2, 0.2)  # does not sum to 1
+    # NaN compares false both ways, so it must fail `a >= 8` and `0 <= p <= 1`
+    nan = float("nan")
+    with pytest.raises(ValueError, match="a >= 8"):
+        flat_step_distribution(2, nan)
+    with pytest.raises(ValueError, match="a >= 8"):
+        step_prob_tables(5, nan)
+    with pytest.raises(ValueError, match="outside"):
+        StepDistribution(nan, 0.5, 0.5)
 
 
 @given(

@@ -22,7 +22,7 @@ from stairwalk import (
 )
 from stairwalk.cli import main
 from stairwalk.kernel import step_prob_tables
-from stairwalk.oracle import phase_ends
+from stairwalk.oracle import phase_ends, tail_probability
 from stairwalk.serialize import dump_csv, dump_law_csv
 
 
@@ -94,6 +94,13 @@ def test_phase1_tail_monotone_float(scaled_schedule):
 def test_conservation_float(scaled_schedule):
     law = law_at(2000, scaled_schedule)
     assert law.mass_defect() <= 1e-12
+
+
+def test_nan_mass_fails_the_defect_gate(scaled_schedule):
+    law = law_at(20, scaled_schedule)
+    law.mass[3] = np.nan  # the tail sum above s = 10 would not see it
+    with pytest.raises(ArithmeticError, match="drifted by nan"):
+        tail_probability(law, 10)
 
 
 def test_rational_float_agreement(scaled_schedule):

@@ -285,6 +285,10 @@ def test_user_schedule_validation():
         user_schedule(prof, [10, 10, 10], [8.0, 10.0, 9.0], [5, 6, 7])
     with pytest.raises(ValueError, match=">= 8"):
         user_schedule(prof, [10, 10], [8.0, 7.5], [5, 6])
+    with pytest.raises(ValueError, match=">= 8"):
+        user_schedule(prof, [10, 10], [8.0, float("nan")], [5, 6])
+    with pytest.raises(ValueError, match="a_start"):
+        steady_drift_schedule(3, a_start=float("nan"))
     with pytest.raises(ValueError, match="equal length"):
         user_schedule(prof, [10], [8.0, 9.0], [5, 6])
     with pytest.raises(ValueError):

@@ -431,6 +431,10 @@ def test_control_growth_rule_label():
 def test_control_validation():
     with pytest.raises(ValueError):
         run_control("constant", 100, 10, SEED, a=7.0)
+    with pytest.raises(ValueError, match="a >= 8"):
+        run_control("constant", 100, 10, SEED, a=float("nan"))
+    with pytest.raises(ValueError, match="replications"):
+        run_control("constant", 100, 0, SEED)
     with pytest.raises(ValueError):
         run_control("warp", 100, 10, SEED)
 
