@@ -8,9 +8,7 @@ encoded as "p/q" strings in both.
 reduced to plain JSON values, byte for byte, but walks the report once: exact
 dicts, lists and scalars are encoded as they are met, everything else is
 reduced first (`to_jsonable`, dataclass fields, "p/q" Fractions, tuples,
-numpy scalars and arrays).  A list of flat dicts that share their keys in
-order is written from one row template, so a report with 10^4 per-phase rows
-costs one `%` format rather than 10^4 recursive calls.
+numpy scalars and arrays).
 """
 
 from __future__ import annotations
@@ -75,7 +73,11 @@ def _encode_dict(obj: dict, indent: str) -> str:
     if not obj:
         return "{}"
     inner = indent + "  "
-    items = [f"{_encode_str(str(k))}: {_encode(v, inner)}" for k, v in obj.items()]
+    if not all(type(k) is str for k in obj):
+        # keys whose text is equal (0 and "0", two NaNs) merge: the first
+        # one's place, the last one's value, which alone is encoded
+        obj = {str(k): v for k, v in obj.items()}
+    items = [f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in obj.items()]
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
@@ -83,37 +85,8 @@ def _encode_list(obj: list, indent: str) -> str:
     if not obj:
         return "[]"
     inner = indent + "  "
-    rows = _encode_rows(obj, inner)
-    if rows is None:
-        rows = (",\n" + inner).join([_encode(v, inner) for v in obj])
+    rows = (",\n" + inner).join([_encode(v, inner) for v in obj])
     return "[\n" + inner + rows + "\n" + indent + "]"
-
-
-def _encode_rows(obj: list, indent: str) -> str | None:
-    """The list's items, each at `indent` and comma-separated, when every
-    item is a dict with the first item's str keys in the same order and only
-    exact scalar values; None otherwise."""
-    first = obj[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = list(first)
-    # `==` on lists compares order too; on sets of keys it would not, and
-    # values would land under the wrong keys
-    if any(type(k) is not str for k in keys) or not all(
-        type(r) is dict and list(r) == keys for r in obj
-    ):
-        return None
-    values = [v for r in obj for v in r.values()]
-    if not _SCALARS.keys() >= set(map(type, values)):
-        return None
-    inner = indent + "  "
-    fields = (",\n" + inner).join(
-        [_encode_str(k).replace("%", "%%") + ": %s" for k in keys]
-    )
-    row = "{\n" + inner + fields + "\n" + indent + "}"
-    return (",\n" + indent).join([row] * len(obj)) % tuple(
-        [_SCALARS[type(v)](v) for v in values]
-    )
 
 
 def _encode_other(obj, indent: str) -> str:

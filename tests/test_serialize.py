@@ -64,8 +64,7 @@ class Pair:
     right: Fraction
 
 
-# text with characters the encoder must escape, and `%`, which a row
-# template must escape as well
+# text with characters the encoder must escape, and `%`
 text = st.text(st.sampled_from('ab%"\\\n\x00é☃\U0001f600'), max_size=6) | st.text(max_size=6)
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1])
@@ -116,6 +115,8 @@ def test_emitter_edge_cases(out):
     cases = [
         {}, [], [{}], [{}, {}], [[]], {"a": {}, "b": []}, (), "é\"\\%",
         {True: 1, 1: 2, None: 3, 1.5: 4, Fraction(1, 2): 5},
+        {0: 1, "0": 2}, {None: 1, "None": 2}, {float("nan"): 1, float("nan"): 2},
+        {0: object(), "0": 1},                      # the dropped value is not encoded
         [{"a": 1, "b": 2}, {"b": 2, "a": 1}],      # same keys, other order
         [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, 3], [{1: 2}, {1: 3}],
         [{"%s": 1, "%%": float("nan")}, {"%s": -0.0, "%%": None}],
