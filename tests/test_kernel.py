@@ -111,6 +111,22 @@ def test_vector_kernel_matches_scalar():
     np.testing.assert_array_equal(tab[0], flat_step_probs_at(s, 13.25)[0])
 
 
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(min_value=0, max_value=5000), max_size=64),
+    st.floats(min_value=8.0, max_value=1e16),
+)
+def test_probs_gathered_from_a_table_match_direct(values, a):
+    """A table over [0, max s], indexed by s, holds the same bits as the
+    law evaluated at s itself: the simulator's per-step table for a rule."""
+    s = np.array(values + [0], dtype=np.int64)
+    tab_down, tab_up = flat_step_probs_at(np.arange(s.max() + 1, dtype=np.int64), a)
+    p_down, p_up = flat_step_probs_at(s, a)
+    np.testing.assert_array_equal(tab_down[s], p_down)
+    np.testing.assert_array_equal(tab_up[s], p_up)
+    np.testing.assert_array_equal(1.0 - tab_up[s], 1.0 - p_up)
+
+
 def test_stair_step_examples():
     law = stair_step_distribution(StairState(2, 2), 8)
     assert law == {

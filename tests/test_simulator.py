@@ -325,6 +325,25 @@ def test_golden_streams():
     assert (report.pairs_checked, report.violations) == (600, 0)
 
 
+def test_golden_fast_growth_rule():
+    """A rule whose a changes at every step, pinned whole."""
+    doc = run_control("fast-growth", 300, 50, SEED, growth=lambda n: 8.0 + n / 7).to_jsonable()
+    assert doc == {
+        "mode": "fast-growth", "horizon": 300, "replications": 50, "base_seed": SEED,
+        "drift": 0.1362,
+        "final_quantiles": {"0.01": 12.49, "0.25": 32.0, "0.5": 41.5, "0.75": 50.0,
+                            "0.99": 65.57},
+        "nondecreasing_fraction": None, "a": None, "growth_rule": "custom",
+        "occupancy_mode": 43, "low_state_fraction": 0.0032,
+        "tail_histogram": [
+            0, 0, 1, 15, 8, 25, 17, 48, 35, 31, 23, 45, 47, 36, 30, 76, 78, 103, 133,
+            163, 155, 116, 116, 144, 148, 172, 148, 205, 171, 167, 163, 137, 146, 203,
+            178, 212, 260, 220, 189, 234, 254, 232, 221, 283, 236, 171, 193, 225, 210,
+            141, 119, 138, 94, 69, 59, 71, 50, 51, 45, 40, 33, 44, 23, 27, 10, 11, 4,
+            30, 12, 6],
+    }
+
+
 def test_wilson_interval_against_external_values():
     # cross-checked against an independent implementation
     lo, hi = wilson_interval(8, 10, confidence=0.95)
