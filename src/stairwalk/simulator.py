@@ -26,11 +26,14 @@ row; a yielded row is valid until the next step.
 
 One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
-number of steps at either a constant adaptation value a, whose step laws
-are read from one lookup table per distinct a, built once per call in the
-parent, or under a rule a(n) evaluated at every absolute step n.  Step n
-consumes uniform column n (draw #n of every stream) and maps it through
-the inverse CDF of the current three-point step law (atom order
+number of steps at either a constant adaptation value a or under a rule
+a(n) of the absolute step n.  Either way each step reads its laws from a
+lookup table indexed by position: a constant segment's table, one per
+distinct a, is built once per call in the parent; a rule segment's is built
+at every step over [0, max s] of the chunk, since a changes but the chunk's
+positions stay low.  Step n consumes uniform column n (draw #n of every
+stream) and maps it through the inverse CDF of the current three-point
+step law (atom order
 -1 < 0 < 1, matching the monotone coupling construction); the coupling
 check draws its dominated variable Z from the same uniform through the
 same inverse CDF.  Callers only observe between steps: phase outcomes and
@@ -155,23 +158,29 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
     uniform column, yielding each step's (uniforms, unmasked increments)
     after `s` has moved.  The uniforms are valid until the next step.
 
-    `tables` comes from `_step_tables(segments)`.  `move`, when given,
-    masks every increment; callers may update it in place between steps
-    (early stop clears it after a failed phase).
+    `tables` comes from `_step_tables(segments)`.  A rule segment builds
+    its table at every step, over positions [0, max s]; its rule must give
+    a >= 8.  `move`, when given, masks every increment; callers may update
+    it in place between steps (early stop clears it after a failed phase).
     """
-    feed = _UniformFeed(seeds, sum(seg.length for seg in segments))
+    total = sum(seg.length for seg in segments)
+    feed = _UniformFeed(seeds, total)
+    if any(callable(seg.a) for seg in segments):
+        support = np.arange(total + 1, dtype=np.int64)
     n0 = 0
     for seg in segments:
         rule = seg.a if callable(seg.a) else None
         if rule is None:
-            p_down_tab, up_from_tab = tables[seg.a]
+            p_down, up_from = tables[seg.a]
         for n in range(n0, n0 + seg.length):
             u = feed.next_column()
-            if rule is None:
-                ds = _inverse_cdf(u, p_down_tab[s], up_from_tab[s])
-            else:
-                p_down, p_up = flat_step_probs_at(s, rule(n))
-                ds = _inverse_cdf(u, p_down, 1.0 - p_up)
+            if rule is not None:
+                a = rule(n)
+                if not a >= 8:  # also rejects NaN
+                    raise ValueError(f"growth rule gave a({n}) = {a}; need a >= 8")
+                p_down, p_up = flat_step_probs_at(support[:int(s.max()) + 1], a)
+                up_from = 1.0 - p_up
+            ds = _inverse_cdf(u, p_down[s], up_from[s])
             s += ds if move is None else ds * move
             yield u, ds
         n0 += seg.length
@@ -233,6 +242,8 @@ def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | 
     than the usable CPUs or the chunks, since a fork pool starts all its
     workers at once.
     """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
@@ -390,8 +401,6 @@ def run_experiment(
     per-phase frequency estimates P(phase i succeeds | earlier successes)
     and the product estimate is the survivor fraction of the whole chain.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
     _check_confidence(confidence)
     segments, tables, tests = _phase_plan(schedule, max_phase)
 
@@ -464,8 +473,7 @@ def final_positions(
         _advance(_walk(seeds, segments, tables, s), horizon)
         return s
 
-    parts = _run_chunks(job, replications, base_seed, threads)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return np.concatenate(_run_chunks(job, replications, base_seed, threads))
 
 
 # ======================================================================
@@ -525,8 +533,6 @@ def run_control(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
     if mode == "constant":
         if not a >= 8:  # also rejects NaN
             raise ValueError("constant mode needs a >= 8")
@@ -546,14 +552,13 @@ def run_control(
 
         def job(seeds):
             s = np.zeros(len(seeds), dtype=np.int64)
-            hist = np.zeros(horizon + 2, dtype=np.int64)
-            low = 0
+            hist = np.zeros(horizon + 1, dtype=np.int64)   # s <= horizon
             steps = _walk(seeds, [Segment(horizon, rule)], {}, s)
             _advance(steps, tail_start)
             for _ in steps:
-                hist += np.bincount(s, minlength=horizon + 2)
-                low += int((s <= _LOW_THRESHOLD).sum())
-            return s, hist, low
+                counts = np.bincount(s)
+                hist[:counts.size] += counts
+            return s, hist
 
     else:
         raise ValueError(f"unknown control mode {mode!r}")
@@ -578,7 +583,7 @@ def run_control(
     support = int(np.nonzero(hist)[0].max()) if hist.any() else 0
     summary.growth_rule = _GROWTH_LABEL if growth is None else _CUSTOM_GROWTH_LABEL
     summary.occupancy_mode = int(np.argmax(hist))
-    low = sum(p[2] for p in parts)
+    low = int(hist[:_LOW_THRESHOLD + 1].sum())
     summary.low_state_fraction = low / tail_steps if tail_steps else None
     summary.tail_histogram = [int(v) for v in hist[: support + 1]]
     return summary

@@ -205,6 +205,18 @@ def test_worker_error_surfaces(threads, usable_cpus):
 
 
 @needs_fork
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("bad", [1.0, 7.999, float("nan")])
+def test_growth_rule_below_8_is_rejected(threads, bad, usable_cpus):
+    """A rule's a is checked at every step, in the worker that runs it."""
+    usable_cpus(2)
+    growth = lambda n: bad if n == 30 else 8.0  # noqa: E731
+    with pytest.raises(ValueError, match=r"a\(30\) = .*a >= 8"):
+        run_control("fast-growth", 50, POOLED_REPS, SEED, growth=growth, threads=threads)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_worker_count_is_capped(usable_cpus, monkeypatch):
     """min(threads, usable CPUs, chunks) workers, no pool for one worker,
     and at most two chunks per worker in flight.  A stand-in pool runs each
@@ -474,3 +486,20 @@ def test_coupled_check_holds(cond_schedule):
 def test_coupled_check_needs_later_phases(cond_schedule):
     with pytest.raises(ValueError):
         run_coupled_check(cond_schedule, 1, 10, SEED)
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_replications_must_be_positive(cond_schedule, replications):
+    """Every Monte Carlo entry point refuses to run no replications, so no
+    report can pass a check that checked nothing."""
+    sch = steady_drift_schedule(4, sigma=0.01)
+    calls = [
+        lambda: run_coupled_check(sch, 2, replications, 0),
+        lambda: final_positions(sch, 10, replications, SEED),
+        lambda: final_positions(sch, 0, replications, SEED),
+        lambda: run_experiment(cond_schedule, 1, replications, SEED),
+        lambda: run_control("fast-growth", 10, replications, SEED),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            call()
