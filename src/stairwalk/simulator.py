@@ -33,11 +33,11 @@ distinct a, is built once per call in the parent; a rule segment's is built
 at every step over [0, max s] of the chunk, since a changes but the chunk's
 positions stay low.  Step n consumes uniform column n (draw #n of every
 stream) and maps it through the inverse CDF of the current three-point
-step law (atom order
--1 < 0 < 1, matching the monotone coupling construction); the coupling
-check draws its dominated variable Z from the same uniform through the
-same inverse CDF.  Callers only observe between steps: phase outcomes and
-checkpoints, phase minima and Z sums, down steps, tail occupancy.
+step law (atom order -1 < 0 < 1, matching the monotone coupling
+construction); the coupling check draws its dominated variable Z from the
+same uniform through the same inverse CDF.  Callers only observe between
+steps: phase outcomes and checkpoints, phase minima and Z sums, down
+steps, tail occupancy.
 """
 
 from __future__ import annotations
@@ -526,10 +526,11 @@ def run_control(
     that never stepped down (1.0 is expected at a = 8).
 
     mode="fast-growth": a_n from `growth` (default n^2 + 8, growing so fast
-    the walk behaves like the draw-from-target sampler); reports the
-    occupancy histogram of s over the last half of the horizon, its mode,
-    and the fraction of that time spent at s <= 4.  `growth_rule` reads
-    "n^2+8" for the default rule and "custom" when `growth` is given.
+    the walk behaves like the draw-from-target sampler; a rule must give
+    a_n >= 8 at every step n); reports the occupancy histogram of s over
+    the last half of the horizon, its mode, and the fraction of that time
+    spent at s <= 4.  `growth_rule` reads "n^2+8" for the default rule and
+    "custom" when `growth` is given.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -489,7 +489,7 @@ def test_coupled_check_needs_later_phases(cond_schedule):
 
 
 @pytest.mark.parametrize("replications", [0, -1])
-def test_replications_must_be_positive(cond_schedule, replications):
+def test_replications_must_be_positive(replications):
     """Every Monte Carlo entry point refuses to run no replications, so no
     report can pass a check that checked nothing."""
     sch = steady_drift_schedule(4, sigma=0.01)
@@ -497,7 +497,7 @@ def test_replications_must_be_positive(cond_schedule, replications):
         lambda: run_coupled_check(sch, 2, replications, 0),
         lambda: final_positions(sch, 10, replications, SEED),
         lambda: final_positions(sch, 0, replications, SEED),
-        lambda: run_experiment(cond_schedule, 1, replications, SEED),
+        lambda: run_experiment(sch, 1, replications, SEED),
         lambda: run_control("fast-growth", 10, replications, SEED),
     ]
     for call in calls:
