@@ -16,6 +16,7 @@ from stairwalk import (
     PhaseSchedule,
     audit_all,
     audit_single,
+    check_schedule_feasibility,
     mean_z,
     steady_drift_schedule,
     verifier,
@@ -235,6 +236,69 @@ def test_golden_audit(name, request):
         res = audit_single(cid, schedule, i_max=300, x_depth=100)
         got[cid] = _digest(res.to_jsonable())
     assert got == GOLDEN_AUDIT[name]
+
+
+# sha256 of the sorted-key JSON of audit_all at certify's depth, and of every
+# audit and feasibility output at i_max = 300 for paper profiles whose a_offset
+# pushes a_2 to 64/7 (C4 fails), to 0 and to -10/7 (C1-C3 fail; Z_2 is no
+# law).  A claim that raises is pinned by its error.
+GOLDEN_AUDIT_DEEP = {
+    "paper_1e4": "cb279f2dc95f9a86c8b6f90ab98e04bd93db35e562b04fc1f18973b11ce773f3",
+    "a2_low/all": "87773a8508903ed45f6919c8330f4093e9d1de784423aff2465659f21a0e89bc",
+    "a2_low/C1": "37bd4d0b0397e05a608f696958cd324824165cf6b309b549945859f4a72f13ec",
+    "a2_low/C2": "44302f43cb3416aa2313011f01b6c9181ee38eb97cdfdba41f2d75921c2a693e",
+    "a2_low/C3": "bbebae8af557afa5e2b906c106b171304eaf9cdd5e87b1eeaeea6e7992d324d8",
+    "a2_low/C4": "4794e24978922855427f4fe13129231cbd55067cc445120de81c1eff2b0472d6",
+    "a2_low/C5": "65df13e712202508553999cfd8ceb9b435a7378eba4ab32b1cdf4202ced83734",
+    "a2_low/C6": "bbf4f3a19aedabf14010f996a27c96758f263ad9fedca793741d71c0e1c5b23c",
+    "a2_low/feasibility":
+        "de55f9c61325249789e908b996cb81b6ea05664508dc3a349b0980d63b7a4339",
+    "a2_zero/all": "ZeroDivisionError: a_2 = 0",
+    "a2_zero/C1": "1f19cef961b65bfacdeda41d9f7ab48f10ae9e334b3b44240d7bc55b818f3714",
+    "a2_zero/C2": "ZeroDivisionError: a_2 = 0",
+    "a2_zero/C3": "ZeroDivisionError: a_2 = 0",
+    "a2_zero/C4": "ZeroDivisionError: a_2 = 0",
+    "a2_zero/C5": "ZeroDivisionError: a_2 = 0",
+    "a2_zero/C6": "bbf4f3a19aedabf14010f996a27c96758f263ad9fedca793741d71c0e1c5b23c",
+    "a2_zero/feasibility": "ZeroDivisionError: a_2 = 0",
+    "a2_negative/all": "ValueError: component 26401/10000 outside [0, 1]",
+    "a2_negative/C1":
+        "d74b8d3223147e6d94580dca313524fb4eb1048099d47cc472c189aed36c7716",
+    "a2_negative/C2":
+        "e8e869e27c8c35fc0b4536ec2d4013f4268e0ae2490f2fc310500f90058e2268",
+    "a2_negative/C3":
+        "f776f31faf26d22da61b9d58c6defa0b5f74cea931d95d43e440b1506726e281",
+    "a2_negative/C4": "ValueError: component 26401/10000 outside [0, 1]",
+    "a2_negative/C5": "ValueError: component 26401/10000 outside [0, 1]",
+    "a2_negative/C6":
+        "bbf4f3a19aedabf14010f996a27c96758f263ad9fedca793741d71c0e1c5b23c",
+    "a2_negative/feasibility":
+        "61e7cf3ffffa64dacf6daea8534e80bab2f6d85c51f4cc752e3b4d1b54de8d50",
+}
+_OFFSETS = {"a2_low": Fraction(400, 31) - Fraction(64, 7), "a2_zero": Fraction(400, 31),
+            "a2_negative": Fraction(400, 31) + Fraction(10, 7)}
+
+
+def _outcome(run) -> str:
+    try:
+        return _digest(run().to_jsonable())
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_golden_audit_deep(paper_schedule):
+    got = {"paper_1e4": _outcome(lambda: audit_all(paper_schedule, i_max=10**4,
+                                                   x_depth=10**3))}
+    for name, off in _OFFSETS.items():
+        profile = dataclasses.replace(paper_schedule.profile, a_offset=off)
+        schedule = dataclasses.replace(paper_schedule, profile=profile)
+        got[f"{name}/all"] = _outcome(lambda: audit_all(schedule, i_max=300, x_depth=100))
+        for cid in CLAIM_IDS[:6]:
+            got[f"{name}/{cid}"] = _outcome(
+                lambda: audit_single(cid, schedule, i_max=300, x_depth=100))
+        got[f"{name}/feasibility"] = _outcome(
+            lambda: check_schedule_feasibility(schedule, 300))
+    assert got == GOLDEN_AUDIT_DEEP
 
 
 # ----------------------------------------------------------------------
