@@ -17,7 +17,10 @@ variables are inverse-CDF transforms of one uniform draw with atoms ordered
 `_z_ratio` is the one formula for Z_i in both arithmetics: it gives c_i and
 b_i as integers over one positive denominator, exact when a_i and the slack
 are exact (ints are promoted), the exact ratios of the float masses
-otherwise.  `z_distribution` and the audit's per-phase record read it.
+otherwise.  Its exact form is `_c_b_ratio`, which takes a_i as an integer
+ratio (P, Q), then `_with_slack`; the audit's per-phase record and the
+feasibility check call those two on the schedule's (P, Q) column directly,
+with no Fraction per phase.  `z_distribution` reads `_z_ratio`.
 `dominated_drift`, and so `mean_z`, reads it in exact arithmetic and takes
 b_i - c_i from `_c_b`'s float masses otherwise.
 """
@@ -76,23 +79,29 @@ def _c_b(i: int, a: Number, slack: Number) -> tuple[float, float]:
     return c, b
 
 
-def _c_b_ratio(i: int, a: Number) -> tuple[int, int, int]:
+def _c_b_ratio(i: int, a: tuple[int, int]) -> tuple[int, int, int]:
     """Exact (c, b, den) with den > 0, c_i = c/den and b_i = b/den at zero
     slack, so that (b - c)/den is C2's left side.
 
-    With a = p/q both masses are taken over the common denominator 2 p D_i
-    in integer arithmetic, with no normalisation:
+    a is a_i as integers (P, Q) with Q > 0, in any scale.  Both masses are
+    taken over the common denominator 2 P D_i with no normalisation:
 
-        c = (p - 8q) i^2        b = (p + 8q) (i-1)^2
-
-    The integer ratio of a float is exact too.
+        c = (P - 8Q) i^2        b = (P + 8Q) (i-1)^2
     """
-    p, q = a.as_integer_ratio()
+    p, q = a
     if p == 0:
         raise ZeroDivisionError(f"a_{i} = 0")
     c, b = (p - 8 * q) * (i * i), (p + 8 * q) * ((i - 1) * (i - 1))
     den = 2 * p * (i * i + (i - 1) * (i - 1))
     return (c, b, den) if den > 0 else (-c, -b, -den)
+
+
+def _with_slack(law: tuple[int, int, int], slack: Number) -> tuple[int, int, int]:
+    """`_c_b_ratio`'s (c, b, den) shifted by an exact slack: c_i + slack and
+    b_i - slack over the denominator den times the slack's."""
+    c, b, den = law
+    sn, sd = slack.as_integer_ratio()
+    return c * sd + sn * den, b * sd - sn * den, den * sd
 
 
 def _z_ratio(i: int, a: Number, slack: Number) -> tuple[int, int, int]:
@@ -108,9 +117,7 @@ def _z_ratio(i: int, a: Number, slack: Number) -> tuple[int, int, int]:
         (c, c_den), (b, b_den) = (m.as_integer_ratio() for m in _c_b(i, a, slack))
         den = math.lcm(c_den, b_den)
         return c * (den // c_den), b * (den // b_den), den
-    c, b, den = _c_b_ratio(i, a)
-    sn, sd = slack.as_integer_ratio()
-    return c * sd + sn * den, b * sd - sn * den, den * sd
+    return _with_slack(_c_b_ratio(i, a.as_integer_ratio()), slack)
 
 
 def dominated_drift(i: int, a: Number, slack: Number) -> Number:

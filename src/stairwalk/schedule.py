@@ -11,6 +11,18 @@ In paper-literal mode everything is generated from two integers M and M0
 plus the closed form a_i = 8(2i^2+1-2i)/(2i-1+mu) - offset; user-designed
 mode takes explicit per-phase (length, a, threshold) triples.
 
+When mu = u/v and offset = r/t are both exact (int or Fraction), a_i is a
+ratio of integer polynomials in i: with w = v(2i - 1) + u,
+
+    a_i = P_i / Q_i,    P_i = 8vt(2i^2 - 2i + 1) - r w,    Q_i = t w,
+
+unnormalised, and Q_i > 0 because the profile requires mu > 0.
+`PhaseSchedule.a_ratios` builds the a_i column from these integers, with no
+Fraction per phase, and `a_of_phase` returns Fraction(P_i, Q_i), so a_i has
+one formula.  A float in either constant makes a_i a float, rounded once per
+phase by the closed form as written; those schedules, and user-designed
+ones, take each a_i from `a_of_phase`.
+
 `find_M` sizes M so the concentration gain delta*m - 2*sqrt(K m ln m)
 clears the overshoot for every m >= M-2; `find_M0` sizes phase 1 so a
 Binomial(m, 1/5) walk exceeds M with probability > 1 - sigma for every
@@ -252,6 +264,13 @@ def find_M0(
 # ======================================================================
 
 
+def _rule_ratio(i: int, u: int, v: int, r: int, t: int) -> tuple[int, int]:
+    """(P_i, Q_i) of a rule schedule's a_i for i >= 2, at drift_target = u/v
+    and a_offset = r/t (see the module docstring)."""
+    w = v * (2 * i - 1) + u
+    return 8 * v * t * (2 * i * i - 2 * i + 1) - r * w, t * w
+
+
 _PHASE_KEYS = (("i", int), ("length", int), ("a", _NUMBER), ("threshold", _NUMBER))
 
 
@@ -320,17 +339,48 @@ class PhaseSchedule:
             return int(self.lengths[i - 1])
         return self.M0 if i == 1 else self.M - 2 + 2 * (i - 2)
 
+    @property
+    def _rule_terms(self) -> tuple[int, int, int, int] | None:
+        """(u, v, r, t) with drift_target = u/v and a_offset = r/t, for a
+        rule schedule whose two constants are exact; None otherwise."""
+        mu, off = self.profile.drift_target, self.profile.a_offset
+        if self.mode != PAPER_LITERAL or not (
+                isinstance(mu, (int, Fraction)) and isinstance(off, (int, Fraction))):
+            return None
+        return (*mu.as_integer_ratio(), *off.as_integer_ratio())
+
+    @property
+    def exact_rule(self) -> bool:
+        """Whether a_i for i >= 2 come from the integer polynomials P_i/Q_i:
+        a rule schedule whose drift_target and a_offset are int or Fraction."""
+        return self._rule_terms is not None
+
     def a_of_phase(self, i: int) -> Number:
-        """Adaptation value of phase i, in the profile's arithmetic."""
+        """Adaptation value of phase i, in the profile's arithmetic: for
+        i >= 2, Fraction(P_i, Q_i) under exact constants, and the closed form
+        in floats when either is a float."""
         self._check_phase(i)
         if self.mode == USER_DESIGNED:
             return self.a_values[i - 1]
         if i == 1:
             return self.profile.phase1_a
+        terms = self._rule_terms
+        if terms is not None:
+            return Fraction(*_rule_ratio(i, *terms))
         mu, off = self.profile.drift_target, self.profile.a_offset
-        if isinstance(mu, int):
-            mu = Fraction(mu)  # int / int would leave exact arithmetic
         return 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
+
+    def a_ratios(self, i_max: int) -> list[tuple[int, int]]:
+        """(P, Q) with a_i = P/Q and Q > 0 for phases 1..i_max, unnormalised:
+        from the integer polynomials when `exact_rule`, with no a_of_phase
+        call past phase 1, and each a_of_phase value's integer ratio
+        otherwise."""
+        self._check_phase(i_max)
+        terms = self._rule_terms
+        if terms is None:
+            return [self.a_of_phase(i).as_integer_ratio() for i in range(1, i_max + 1)]
+        return [self.profile.phase1_a.as_integer_ratio(),
+                *(_rule_ratio(i, *terms) for i in range(2, i_max + 1))]
 
     def threshold(self, i: int) -> Number:
         self._check_phase(i)
@@ -667,14 +717,28 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
     worst-case height margin T_{i-1} - L_i - (2i - 2) is nonnegative, so a
     full phase of -1 steps cannot drop the walk below height i.
     Infeasibility is reported, not raised.
+
+    Under exact constants and an exact slack each drift is taken from the
+    (P, Q) column and Z_i's integer triple by one int true division, which
+    rounds as float(mean_z(i)) does; otherwise it is float(mean_z(i)).
     """
-    from .domination import mean_z  # deferred: domination builds on schedules
+    # deferred: domination builds on schedules
+    from .domination import _c_b_ratio, _with_slack, mean_z
 
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
+    if schedule.n_phases is not None and i_max > schedule.n_phases:
+        raise ValueError(f"i_max = {i_max} is past the schedule's last phase: "
+                         f"it defines {schedule.n_phases} phases")
     indices = range(2, i_max + 1)
     lengths = [schedule.length(i) for i in indices]
-    drifts = [float(mean_z(i, schedule)) for i in indices]
+    slack = schedule.profile.slack
+    if schedule.exact_rule and not isinstance(slack, float):
+        laws = (_with_slack(_c_b_ratio(i, a), slack)
+                for i, a in zip(indices, schedule.a_ratios(i_max)[1:]))
+        drifts = [(b - c) / den for c, b, den in laws]
+    else:
+        drifts = [float(mean_z(i, schedule)) for i in indices]
     gains = concentration_gain(lengths, np.array(drifts), schedule.profile.hoeffding_K)
     phases = []
     first = None

@@ -20,14 +20,17 @@ Claims:
     C8  phase-1 law facts at a = 8
 
 C1-C6 read one per-phase record, built once per audit and only as far as
-the claims run read it: a_i as the schedule gives it; c_i and b_i at zero
-slack as integers over one positive denominator, exact from a_i's integer
-ratio (b_i - c_i over it is the C2 left side); and the law Z_i, from the
-one Z_i formula `domination._z_ratio`, as integers over one positive
-denominator in the profile's arithmetic: exact masses under an exact
-profile, the exact ratios of the float masses under a float one.  C2-C4
-compare these integers by cross-multiplication and build a Fraction only for
-a witness.
+the claims run read it, of integer columns: a_i as (P, Q) with Q > 0, from
+`PhaseSchedule.a_ratios` (the integer polynomials in i under exact
+constants, with no Fraction per phase; the integer ratio of the float a_i
+otherwise); c_i and b_i at zero slack as a triple (c, b, den) over one
+positive denominator, exact from (P, Q) (b_i - c_i over it is the C2 left
+side); and the law Z_i, from the one Z_i formula (`domination._z_ratio`, or
+its exact form `_with_slack` of that triple), as a triple in the profile's
+arithmetic: exact masses under an exact profile, the exact ratios of the
+float masses under a float one.  C1-C4 compare these integers by
+cross-multiplication, C5 divides them once per value, and a Fraction is
+built only for a witness.
 
 C5 is evaluated at x = i only, so its cost does not depend on the depth.
 By C7, x^2/D_x falls and (x-1)^2/D_x rises with x, so the diagonal p_down
@@ -57,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import PAPER_LITERAL, Number
-from .domination import _c_b_ratio, _margins, _z_ratio, z_distribution
+from .domination import _c_b_ratio, _margins, _with_slack, _z_ratio, z_distribution
 from .kernel import flat_step_distribution, monotonicity_violation
 
 HOLDS = "holds"
@@ -136,9 +139,10 @@ def _prefix_verdict(first_bad: int | None, first_index: int, witness: dict | Non
 
 @dataclass
 class _PhaseRecord:
-    """Per-phase quantities of phases 1..i_max, keyed by phase.  Each column
-    is built on its first read and shared by every claim that reads it.
-    Exact quantities are integer ratios over a positive denominator."""
+    """Per-phase quantities of phases 1..i_max, keyed by phase: a_i as
+    integer pairs (P, Q), the laws as integer triples (c, b, den), each over
+    a positive denominator and unnormalised.  Each column is built on its
+    first read and shared by every claim that reads it."""
 
     schedule: object
     i_max: int
@@ -149,25 +153,29 @@ class _PhaseRecord:
 
     @cached_property
     def a(self) -> dict:
-        """a_i for i >= 1 as the schedule gives it: a Fraction under an
-        exact profile, a float under a float one."""
-        a_of_phase = self.schedule.a_of_phase
-        return {i: a_of_phase(i) for i in range(1, self.i_max + 1)}
+        """(P, Q) with a_i = P/Q and Q > 0 for i >= 1: exact under exact
+        constants, the float a_i's integer ratio otherwise."""
+        return dict(enumerate(self.schedule.a_ratios(self.i_max), start=1))
 
     @cached_property
     def z0(self) -> dict:
         """(c, b, den) of c_i and b_i at zero slack for i >= 2, exact from
-        a_i: (b - c)/den is C2's left side."""
+        (P, Q): (b - c)/den is C2's left side."""
         return {i: _c_b_ratio(i, self.a[i]) for i in self.phases}
 
     @cached_property
     def z(self) -> dict:
         """The law Z_i for i >= 2 as (c, b, den), with c_i = c/den and
-        b_i = b/den, in the profile's arithmetic: float masses under a float
-        profile, by their exact ratios.  Raises ZDistribution's ValueError
+        b_i = b/den, in the profile's arithmetic: z0 shifted by the slack
+        when a_i and the slack are exact, and float masses, by their exact
+        ratios, when either is a float.  Raises ZDistribution's ValueError
         at the first phase whose Z_i is not a law."""
-        slack = self.schedule.profile.slack
-        out = {i: _z_ratio(i, self.a[i], slack) for i in self.phases}
+        slack, exact = self.schedule.profile.slack, self.schedule.exact_rule
+        if exact and not isinstance(slack, float):
+            out = {i: _with_slack(law, slack) for i, law in self.z0.items()}
+        else:  # a_i as the number a_of_phase gives
+            out = {i: _z_ratio(i, Fraction(p, q) if exact else p / q, slack)
+                   for i, (p, q) in self.a.items() if i > 1}
         for i, (c, b, den) in out.items():
             if not (c >= 0 and b >= 0 and c + b <= den):
                 z_distribution(i, self.schedule)  # raises
@@ -181,15 +189,16 @@ class _PhaseRecord:
 
 def check_c1(rec: _PhaseRecord) -> ClaimResult:
     first_bad, witness = None, None
-    if rec.a[1] != 8:
-        first_bad, witness = 1, {"i": 1, "a": _num(rec.a[1])}
+    p, q = rec.a[1]
+    if p != 8 * q:
+        first_bad, witness = 1, {"i": 1, "a": _num(Fraction(p, q))}
     else:
         prev = None
         for i in rec.phases:
-            p, q = rec.a[i].as_integer_ratio()
+            p, q = rec.a[i]
             # a_i >= 8, a_i >= 4i and a_i > a_{i-1}, over positive denominators
             if not (p >= 8 * q and p >= 4 * i * q and (i == 2 or p * prev[1] > prev[0] * q)):
-                first_bad, witness = i, {"i": i, "a": _num(rec.a[i])}
+                first_bad, witness = i, {"i": i, "a": _num(Fraction(p, q))}
                 break
             prev = p, q
     verdict, witness = _prefix_verdict(first_bad, 1, witness)
@@ -282,12 +291,12 @@ def check_c4(rec: _PhaseRecord) -> ClaimResult:
     cn, cd = (Fraction(2, 5) + Fraction(rec.schedule.profile.slack)).as_integer_ratio()
     first_bad, witness = None, None
     for i, (c, b, den) in rec.z.items():
-        p, q = rec.a[i].as_integer_ratio()
+        p, q = rec.a[i]
         # c_i <= c_cap, b_i < 9/20 and a_i > 10, over positive denominators
         if not (c * cd <= cn * den and 20 * b < 9 * den and p > 10 * q):
             first_bad = i
             witness = {"i": i, "c": _num(Fraction(c, den)),
-                       "b": _num(Fraction(b, den)), "a": _num(rec.a[i])}
+                       "b": _num(Fraction(b, den)), "a": _num(Fraction(p, q))}
             break
     verdict, witness = _prefix_verdict(first_bad, 2, witness)
     return ClaimResult(
@@ -313,7 +322,7 @@ def check_c5(rec: _PhaseRecord, x_depth: int) -> ClaimResult:
     laws = rec.z.values()
     c = np.array([c / den for c, _, den in laws])
     b = np.array([b / den for _, b, den in laws])
-    a = np.array([float(rec.a[i]) for i in rec.phases])
+    a = np.array([p / q for i, (p, q) in rec.a.items() if i > 1])
     x = np.arange(2, rec.i_max + 1, dtype=np.int64)
     _, c_m, b_m = _margins(c, b, a, x)
     kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))

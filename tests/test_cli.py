@@ -260,6 +260,19 @@ def test_feasibility_command(user_file, scaled_file, tmp_path, capsys):
     assert "first violation at phase 2" in capsys.readouterr().out
 
 
+def test_feasibility_i_max_past_the_last_phase(tmp_path, capsys):
+    """A range past a user schedule's last phase is one error line that
+    names i_max and the phase count, given before any per-phase work."""
+    path = tmp_path / "cond.json"
+    path.write_text(steady_drift_schedule(10, sigma=0.01).to_json())
+    capsys.readouterr()
+    for i_max in (11, 50):
+        assert main(["feasibility", "--schedule", str(path), "--i-max", str(i_max)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: i_max = {i_max} is past the schedule's last phase: it defines 10 phases"]
+    assert main(["feasibility", "--schedule", str(path), "--i-max", "10"]) == 0
+
+
 # sha256 of the JSON and CSV that `stairwalk feasibility` writes for the
 # exact paper schedule, the float scaled one and a user-designed one.
 GOLDEN_FEASIBILITY = {

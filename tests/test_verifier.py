@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +18,7 @@ from stairwalk import (
     audit_all,
     audit_single,
     check_schedule_feasibility,
+    concentration_gain,
     mean_z,
     steady_drift_schedule,
     verifier,
@@ -24,6 +26,7 @@ from stairwalk import (
 from stairwalk.core import PAPER_LITERAL
 from stairwalk.domination import ZDistribution, _margins, dominated_drift
 from stairwalk.kernel import flat_step_probs_at
+from stairwalk.schedule import FeasibilityReport, PhaseFeasibility
 from stairwalk.verifier import CLAIM_IDS, AuditReport, ClaimResult, _prefix_verdict
 
 
@@ -106,15 +109,33 @@ def test_audit_builds_each_phase_once(paper_schedule, scaled_schedule, monkeypat
 
     monkeypatch.setattr(verifier, "z_distribution", counted("z", verifier.z_distribution))
     monkeypatch.setattr(PhaseSchedule, "a_of_phase", counted("a", PhaseSchedule.a_of_phase))
-    # a_1..a_300 once, and each Z_i from the record's integers, in both
-    # arithmetics
-    for schedule in (paper_schedule, scaled_schedule):
+    # a_1..a_300 once, through a_of_phase only under the float profile, and
+    # each Z_i from the record's integers, in both arithmetics
+    for schedule, want in ((paper_schedule, {}), (scaled_schedule, {"a": 300})):
         calls.clear()
         audit_all(schedule, i_max=300, x_depth=10)
-        assert calls == {"a": 300}
+        assert calls == want
         calls.clear()
         audit_single("C1", schedule, i_max=300)
-        assert calls == {"a": 300}
+        assert calls == want
+
+
+def test_exact_rule_takes_no_a_of_phase_per_phase(paper_schedule, monkeypatch):
+    """Under exact constants the audit and the feasibility check read a_i
+    from the integer polynomials: their a_of_phase calls do not grow with
+    i_max."""
+    calls = Counter()
+    a_of_phase = PhaseSchedule.a_of_phase
+
+    def counted(self, i):
+        calls[i_max] += 1
+        return a_of_phase(self, i)
+
+    monkeypatch.setattr(PhaseSchedule, "a_of_phase", counted)
+    for i_max in (1000, 2000):
+        audit_all(paper_schedule, i_max=i_max, x_depth=10)
+        check_schedule_feasibility(paper_schedule, i_max)
+    assert calls[1000] == calls[2000] <= 2
 
 
 @pytest.mark.parametrize("num", [Fraction, lambda p, q=1: p / q])
@@ -303,8 +324,21 @@ def test_golden_audit_deep(paper_schedule):
 
 # ----------------------------------------------------------------------
 # Reference: the Fraction-chain record and the per-phase height grid that
-# C1-C5 read before the record moved to integers and C5 to x = i.
+# C1-C5 read before the record moved to integers and C5 to x = i, and the
+# per-phase a_i and drifts that the record and the feasibility check read
+# before a_i came from integer polynomials in i.
 # ----------------------------------------------------------------------
+
+
+def _ref_a(schedule, i):
+    """a_i of a rule schedule by the closed form's Fraction expression, one
+    phase at a time."""
+    if i == 1:
+        return schedule.profile.phase1_a
+    mu, off = schedule.profile.drift_target, schedule.profile.a_offset
+    if isinstance(mu, int):
+        mu = Fraction(mu)  # int / int would leave exact arithmetic
+    return 8 * (2 * i * i + 1 - 2 * i) / (2 * i - 1 + mu) - off
 
 
 def _ref_c_b(i, a, slack):
@@ -331,13 +365,13 @@ class _RefRecord:
 
     @cached_property
     def a(self):
-        return {i: Fraction(self.schedule.a_of_phase(i)) for i in range(1, self.i_max + 1)}
+        return {i: Fraction(_ref_a(self.schedule, i)) for i in range(1, self.i_max + 1)}
 
     @cached_property
     def z(self):
         out = {}
         for i in self.phases:
-            a = self.schedule.a_of_phase(i)
+            a = _ref_a(self.schedule, i)
             a = Fraction(a) if isinstance(a, int) else a
             c, b = _ref_c_b(i, a, self.schedule.profile.slack)
             out[i] = ZDistribution(i=i, c=c, b=b, stay=1 - c - b)
@@ -486,7 +520,11 @@ def _matches_reference(schedule, i_max, x_depth, x_max=10**6, s_max=10**6):
     except (ValueError, ArithmeticError) as exc:
         with pytest.raises(type(exc)) as ref_exc:
             _ref_audit(schedule, i_max, x_depth, x_max, s_max)
-        assert isinstance(exc, ZeroDivisionError) or str(ref_exc.value) == str(exc)
+        if isinstance(exc, ZeroDivisionError):  # the reference divides by a_k itself
+            k = next(i for i in range(2, i_max + 1) if _ref_a(schedule, i) == 0)
+            assert str(exc) == f"a_{k} = 0"
+        else:
+            assert str(ref_exc.value) == str(exc)
         return
     ref = _ref_audit(schedule, i_max, x_depth, x_max, s_max)
     for g, r in zip(got["claims"], ref["claims"]):
@@ -522,23 +560,84 @@ def _fractions(lo, hi, max_den):
     return st.fractions(min_value=lo, max_value=hi, max_denominator=max_den)
 
 
-@settings(max_examples=60, deadline=None)
+def _ref_feasibility(schedule, i_max) -> dict:
+    """check_schedule_feasibility's JSON, each drift float(E(Z_i)) at the
+    Fraction-chain a_i."""
+    indices = range(2, i_max + 1)
+    lengths = [schedule.length(i) for i in indices]
+    drifts = [float(dominated_drift(i, _ref_a(schedule, i), schedule.profile.slack))
+              for i in indices]
+    gains = concentration_gain(lengths, np.array(drifts), schedule.profile.hoeffding_K)
+    phases, first = [], None
+    for i, L, drift, gain in zip(indices, lengths, drifts, gains.tolist()):
+        required = float(schedule.required_gain(i))
+        height = float(schedule.threshold(i - 1)) - L - (2 * i - 2)
+        reason = ("drift <= 0" if drift <= 0 else
+                  "gain below required threshold step" if gain < required else
+                  "worst-case height margin negative" if height < 0 else None)
+        if reason is not None and first is None:
+            first = (i, reason)
+        phases.append(PhaseFeasibility(i, drift, gain, required, height,
+                                       reason is None, reason))
+    return FeasibilityReport(i_max, phases, first).to_jsonable()
+
+
+def _feasibility_matches_reference(schedule, i_max):
+    """The feasibility JSON equals the reference's, or both raise the same
+    error with the same message."""
+    try:
+        got = check_schedule_feasibility(schedule, i_max).to_jsonable()
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            _ref_feasibility(schedule, i_max)
+        return
+    assert json.dumps(got) == json.dumps(_ref_feasibility(schedule, i_max))
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_audit_matches_reference_on_random_exact_profiles(data):
     """Random exact paper-literal profiles, valid and not, with laws Z_i that
-    are and are not laws: the audit matches the reference."""
-    target = data.draw(_fractions(Fraction(1, 50), 3, 50), label="drift_target")
-    slack = data.draw(_fractions(0, target / 2, 1000).filter(lambda s: 2 * s < target),
-                      label="slack")
+    are and are not laws and offsets that make some a_k zero: the a_i column
+    equals the Fraction chain's, and the audit and the feasibility check
+    match the references."""
+    target = data.draw(st.one_of(st.integers(1, 3), _fractions(Fraction(1, 50), 3, 50)),
+                       label="drift_target")
+    slack = data.draw(st.one_of(st.just(0), _fractions(0, target / 2, 1000))
+                      .filter(lambda s: 2 * s < target), label="slack")
+    k = data.draw(st.integers(2, 200), label="k")
+    offset = data.draw(st.one_of(
+        st.integers(-10, 10), _fractions(-10, 10, 100),
+        st.just(Fraction(8 * (2 * k * k - 2 * k + 1)) / (2 * k - 1 + target)),  # a_k = 0
+    ), label="a_offset")
     profile = ConstantsProfile(
-        drift_floor=(target - 2 * slack) / 2, drift_target=target, slack=slack,
-        a_offset=data.draw(_fractions(-10, 10, 100), label="a_offset"),
-        overshoot=4, hoeffding_K=1)
+        drift_floor=Fraction(target - 2 * slack) / 2, drift_target=target, slack=slack,
+        a_offset=offset, overshoot=4, hoeffding_K=1)
     schedule = PhaseSchedule(mode=PAPER_LITERAL, profile=profile,
                              M=data.draw(st.integers(3, 40), label="M"), M0=10)
-    _matches_reference(schedule, data.draw(st.integers(2, 200), label="i_max"),
-                       data.draw(st.integers(0, 50), label="x_depth"),
+    i_max = data.draw(st.integers(2, 300), label="i_max")
+    ratios = schedule.a_ratios(i_max)
+    assert all(q > 0 for _, q in ratios)
+    assert [Fraction(p, q) for p, q in ratios] == [_ref_a(schedule, i)
+                                                   for i in range(1, i_max + 1)]
+    assert all(schedule.a_of_phase(i) == _ref_a(schedule, i) for i in range(1, i_max + 1))
+    _matches_reference(schedule, i_max, data.draw(st.integers(0, 50), label="x_depth"),
                        x_max=100, s_max=100)
+    _feasibility_matches_reference(schedule, i_max)
+
+
+@pytest.mark.parametrize("fields", [
+    {"slack": 1e-4}, {"drift_target": 0.1}, {"a_offset": 1e-3},
+    {"drift_target": 1, "a_offset": 0}, {"drift_target": 1, "a_offset": 1e-3},
+], ids=str)
+def test_mixed_profiles_match_reference(paper_schedule, fields):
+    """Exact constants with a float slack, a float in either constant, and
+    int constants: the audit and the feasibility check match the
+    references."""
+    profile = dataclasses.replace(paper_schedule.profile, **fields)
+    schedule = dataclasses.replace(paper_schedule, profile=profile)
+    _matches_reference(schedule, 300, 100, x_max=100, s_max=100)
+    _feasibility_matches_reference(schedule, 300)
 
 
 def test_c5_witness_matches_reference(paper_schedule):
