@@ -732,6 +732,7 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
                          f"it defines {schedule.n_phases} phases")
     indices = range(2, i_max + 1)
     lengths = [schedule.length(i) for i in indices]
+    thresholds = [schedule.threshold(i) for i in range(1, i_max + 1)]  # T_1..T_i_max
     slack = schedule.profile.slack
     if schedule.exact_rule and not isinstance(slack, float):
         laws = (_with_slack(_c_b_ratio(i, a), slack)
@@ -742,9 +743,10 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
     gains = concentration_gain(lengths, np.array(drifts), schedule.profile.hoeffding_K)
     phases = []
     first = None
-    for i, L, drift, gain in zip(indices, lengths, drifts, gains.tolist()):
-        required = float(schedule.required_gain(i))
-        height = float(schedule.threshold(i - 1)) - L - (2 * i - 2)
+    for i, L, drift, gain, t_prev, t in zip(indices, lengths, drifts, gains.tolist(),
+                                             thresholds, thresholds[1:]):
+        required = float(t - t_prev)  # required_gain(i)
+        height = float(t_prev) - L - (2 * i - 2)
         reason = None
         if drift <= 0:
             reason = "drift <= 0"
