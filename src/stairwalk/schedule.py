@@ -732,7 +732,7 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
                          f"it defines {schedule.n_phases} phases")
     indices = range(2, i_max + 1)
     lengths = [schedule.length(i) for i in indices]
-    thresholds = [schedule.threshold(i) for i in range(1, i_max + 1)]  # T_1..T_i_max
+    thresholds = [schedule.threshold(i) for i in range(1, i_max + 1)]
     slack = schedule.profile.slack
     if schedule.exact_rule and not isinstance(slack, float):
         laws = (_with_slack(_c_b_ratio(i, a), slack)
