@@ -123,6 +123,32 @@ def test_simulate_command(user_file, tmp_path):
     assert len(traj_lines) == 1 + 3 * 2  # two checkpoints per replication
 
 
+# sha256 of the checkpoint CSV that `stairwalk simulate --traj-csv` writes at
+# seed 11: the default 10 replications of a ten-phase user schedule, a count
+# of 0 (the header alone), and 40 replications of the scaled rule schedule.
+GOLDEN_TRAJ_CSV = {
+    "steady_10": "c88eaccd63a5829b43784f97008ee7dddef75946977318a8ab4b15244fb468c7",
+    "steady_0": "4c135908eb1370e80fec787da7f1f15e04e0cd07429813e9135ec4610b02143e",
+    "scaled_40": "4bcb9a0d8e63f97d80f48efb0abc3c35802efc26b3cba561d6373adb87597af5",
+}
+
+
+def test_golden_trajectory_csv(scaled_file, tmp_path):
+    steady = tmp_path / "steady.json"
+    steady.write_text(steady_drift_schedule(10, sigma=0.01).to_json())
+    runs = {"steady_10": (steady, "10", []),
+            "steady_0": (steady, "10", ["--traj-count", "0"]),
+            "scaled_40": (scaled_file, "2", ["--traj-count", "40"])}
+    got = {}
+    for name, (path, phases, extra) in runs.items():
+        csv_path = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--schedule", str(path), "--phases", phases,
+                     "--reps", "20", "--seed", "11", "--traj-csv", str(csv_path),
+                     *extra]) == 0
+        got[name] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert got == GOLDEN_TRAJ_CSV
+
+
 def test_simulate_threads_env_invariance(user_file, tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["simulate", "--schedule", user_file, "--phases", "1", "--reps", "300",
