@@ -125,6 +125,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.traj_count < 0:  # checked before any output is written
+        raise ValueError(f"--traj-count must be >= 0, got {args.traj_count}")
     sched = _load_schedule(args.schedule)
     result = run_experiment(
         sched,

@@ -17,6 +17,13 @@ law exactly and records how the second one differs.
 
 Exact arithmetic: pass `a` as int/Fraction and every probability comes out
 a Fraction; pass a float and everything is float.
+
+The vectorized float law is split in two: `step_geometry` holds what
+depends only on the positions (parity, height x, D and (x-1)^2, the
+origin), and `flat_step_probs_on` is the one a-dependent expression on such
+a geometry.  `flat_step_probs_at(s, a)` composes the two; the simulator's
+rule segments build the geometry once per walk and evaluate the expression
+on its head at every step, with the same bits.
 """
 
 from __future__ import annotations
@@ -256,16 +263,33 @@ def monotonicity_violation(x_max: int) -> int | None:
 # ======================================================================
 
 
-def flat_step_probs_at(s: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """(p_down, p_up) as float64 arrays for an int array of flat positions."""
+def step_geometry(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The a-free part of the flat step law at an int array of positions:
+    (s even, x, D = x^2 + (x-1)^2, (x-1)^2, s == 0), x, D and (x-1)^2 as
+    float64.  Slicing every entry alike gives the geometry of that slice
+    of the positions."""
     s = np.asarray(s)
     even = s % 2 == 0
     x = np.where(even, s // 2 + 1, (s + 3) // 2).astype(np.float64)
-    d = x * x + (x - 1.0) ** 2
+    x1_sq = (x - 1.0) ** 2
+    return even, x, x * x + x1_sq, x1_sq, s == 0
+
+
+def flat_step_probs_on(geometry: Sequence[np.ndarray], a: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(p_down, p_up) as float64 arrays on a `step_geometry`: the one float
+    expression of the flat step law.  `a` is a float, or a float array with
+    one entry per position."""
+    even, x, d, x1_sq, origin = geometry
     p_down = np.where(even, (0.5 - 4.0 / a) * x * x / d, 0.25 - 2.0 / a)
-    p_up = np.where(even, 0.25 + 2.0 / a, (0.5 + 4.0 / a) * (x - 1.0) ** 2 / d)
-    p_down = np.where(s == 0, 0.0, p_down)
+    p_up = np.where(even, 0.25 + 2.0 / a, (0.5 + 4.0 / a) * x1_sq / d)
+    p_down = np.where(origin, 0.0, p_down)
     return p_down, p_up
+
+
+def flat_step_probs_at(s: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p_down, p_up) as float64 arrays for an int array of flat positions."""
+    return flat_step_probs_on(step_geometry(s), a)
 
 
 def _inverse_cdf(u: np.ndarray, p_down, up_from) -> np.ndarray:

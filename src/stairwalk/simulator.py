@@ -20,9 +20,11 @@ a time, and results come back in chunk order.
 A chunk reads its streams through one Philox bit generator, re-keyed to
 (r, base_seed) with its counter set to the block's first draw, so draw #j
 of stream r is the same as from a generator built for that stream alone.
-Only as many draws as the walk takes are made.  Uniforms are buffered in
-blocks laid out (column, replication), so each step reads one contiguous
-row; a yielded row is valid until the next step.
+Philox is counter-based, so a re-key is one state write, made from a
+template of plain Python ints (see `_UniformFeed`).  Only as many draws as
+the walk takes are made.  Uniforms are buffered in blocks laid out
+(column, replication), so each step reads one contiguous row; a yielded
+row is valid until the next step.
 
 One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
@@ -31,13 +33,15 @@ a(n) of the absolute step n.  Either way each step reads its laws from a
 lookup table indexed by position: a constant segment's table, one per
 distinct a, is built once per call in the parent; a rule segment's is built
 at every step over [0, max s] of the chunk, since a changes but the chunk's
-positions stay low.  Step n consumes uniform column n (draw #n of every
-stream) and maps it through the inverse CDF of the current three-point
-step law (atom order -1 < 0 < 1, matching the monotone coupling
-construction); the coupling check draws its dominated variable Z from the
-same uniform through the same inverse CDF.  Callers only observe between
-steps: phase outcomes and checkpoints, phase minima and Z sums, down
-steps, tail occupancy.
+positions stay low.  It evaluates the law's expression on the head of the
+step geometry (`kernel.step_geometry`), built once per walk over every
+position the walk can reach.  Step n consumes uniform column n (draw #n
+of every stream) and maps it through the inverse CDF of the current
+three-point step law (atom order -1 < 0 < 1, matching the monotone
+coupling construction); the coupling check draws its dominated variable Z
+from the same uniform through the same inverse CDF.  Callers only observe
+between steps: phase outcomes and checkpoints, phase minima and Z sums,
+down steps, tail occupancy.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -55,7 +59,7 @@ import numpy as np
 from .bounds import phase_success_bound, true_mean_phase_bound
 from .core import PAPER_LITERAL
 from .domination import z_distribution
-from .kernel import _inverse_cdf, flat_step_probs_at, step_prob_tables
+from .kernel import _inverse_cdf, flat_step_probs_on, step_geometry, step_prob_tables
 
 GENERATOR_ID = "philox4x64(key=[replication, base_seed])"
 
@@ -90,6 +94,13 @@ class _UniformFeed:
     The block is stored (column, replication), filled a tile of streams at
     a time, and refilled in place: a returned column is valid until the
     next call.
+
+    The state template holds plain Python ints, and a refill writes only
+    the key and the counter's first word into it: assigning the template
+    to `Philox.state` converts every entry, and a Python int converts in
+    about a third of the time of the numpy uint64 scalars that
+    `Philox.state` itself returns.  `buffer_pos` 4 drops any output left
+    from the previous stream.
     """
 
     def __init__(self, seeds: Sequence[int], total: int):
@@ -97,7 +108,10 @@ class _UniformFeed:
         self._total = total
         self._bg = np.random.Philox(0)
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state    # template: key and counter set per refill
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": (0, 0)},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
         rows = min(_BLOCK, total)
         self._buf = np.empty((rows, len(seeds)))
         self._tile = np.empty((min(_TILE, len(seeds)), rows))
@@ -108,11 +122,11 @@ class _UniformFeed:
         if width <= 0:
             raise IndexError(f"the walk has taken all {self._total} draws")
         state = self._state["state"]
-        state["counter"][:] = (self._drawn // 4, 0, 0, 0)
+        state["counter"][0] = self._drawn // 4
         for lo in range(0, len(self._keys), _TILE):
             keys = self._keys[lo:lo + _TILE]
             for k, key in enumerate(keys):
-                state["key"][:] = key
+                state["key"] = key
                 self._bg.state = self._state
                 self._gen.random(out=self._tile[k, :width])
             self._buf[:width, lo:lo + len(keys)] = self._tile[:len(keys), :width].T
@@ -159,14 +173,15 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
     after `s` has moved.  The uniforms are valid until the next step.
 
     `tables` comes from `_step_tables(segments)`.  A rule segment builds
-    its table at every step, over positions [0, max s]; its rule must give
-    a >= 8.  `move`, when given, masks every increment; callers may update
-    it in place between steps (early stop clears it after a failed phase).
+    its table at every step, over positions [0, max s], from a step
+    geometry made once per walk; its rule must give a >= 8.  `move`, when
+    given, masks every increment; callers may update it in place between
+    steps (early stop clears it after a failed phase).
     """
     total = sum(seg.length for seg in segments)
     feed = _UniformFeed(seeds, total)
     if any(callable(seg.a) for seg in segments):
-        support = np.arange(total + 1, dtype=np.int64)
+        geometry = step_geometry(np.arange(total + 1, dtype=np.int64))
     n0 = 0
     for seg in segments:
         rule = seg.a if callable(seg.a) else None
@@ -178,8 +193,9 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
                 a = rule(n)
                 if not a >= 8:  # also rejects NaN
                     raise ValueError(f"growth rule gave a({n}) = {a}; need a >= 8")
-                p_down, p_up = flat_step_probs_at(support[:int(s.max()) + 1], a)
-                up_from = 1.0 - p_up
+                top = int(s.max()) + 1
+                p_down, p_up = flat_step_probs_on([g[:top] for g in geometry], a)
+                up_from = np.subtract(1.0, p_up, out=p_up)
             ds = _inverse_cdf(u, p_down[s], up_from[s])
             s += ds if move is None else ds * move
             yield u, ds
@@ -451,13 +467,26 @@ def run_experiment(
     )
 
 
-def trajectory_csv_rows(schedule, max_phase: int, base_seed: int, count: int):
-    """(replication, n, s) checkpoint rows for the first `count` replications."""
-    yield ("replication", "n", "s")
-    for r in range(count):
-        traj = run_replication(schedule, max_phase, replication_seed(base_seed, r))
-        for n, s in traj.checkpoints:
-            yield (r, n, s)
+def trajectory_csv_rows(schedule, max_phase: int, base_seed: int, count: int
+                        ) -> Iterator[tuple]:
+    """(replication, n, s) checkpoint rows for the first `count` replications,
+    after a header row: the checkpoints of `run_replication`, walked as one
+    batch with early stop, in-process."""
+    if count < 0:
+        raise ValueError(f"trajectory count must be >= 0, got {count}")
+    header = [("replication", "n", "s")]
+    if count == 0:
+        return iter(header)
+    segments, tables, tests = _phase_plan(schedule, max_phase)
+
+    def job(seeds):
+        _, checkpoints = _phase_chunk(seeds, segments, tables, tests, early_stop=True)
+        return np.stack(checkpoints, axis=1)   # (replication, phase)
+
+    paths = np.concatenate(_run_chunks(job, count, base_seed, threads=1)).tolist()
+    ends = [schedule.N(i) for i in range(1, max_phase + 1)]
+    return chain(header, ((r, n, s) for r, path in enumerate(paths)
+                          for n, s in zip(ends, path)))
 
 
 def final_positions(

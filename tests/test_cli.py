@@ -149,6 +149,18 @@ def test_golden_trajectory_csv(scaled_file, tmp_path):
     assert got == GOLDEN_TRAJ_CSV
 
 
+def test_negative_traj_count_is_one_error_line(user_file, tmp_path, capsys):
+    out, traj_csv = tmp_path / "exp.json", tmp_path / "traj.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--schedule", user_file, "--phases", "2", "--reps", "20",
+                 "--out", str(out), "--traj-csv", str(traj_csv),
+                 "--traj-count", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --traj-count must be >= 0, got -3"]
+    assert captured.out == ""
+    assert not out.exists() and not traj_csv.exists()
+
+
 def test_simulate_threads_env_invariance(user_file, tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["simulate", "--schedule", user_file, "--phases", "1", "--reps", "300",

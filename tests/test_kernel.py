@@ -17,7 +17,9 @@ from stairwalk import (
 )
 from stairwalk.kernel import (
     flat_step_probs_at,
+    flat_step_probs_on,
     monotonicity_violation,
+    step_geometry,
     step_prob_tables,
 )
 
@@ -125,6 +127,31 @@ def test_probs_gathered_from_a_table_match_direct(values, a):
     np.testing.assert_array_equal(tab_down[s], p_down)
     np.testing.assert_array_equal(tab_up[s], p_up)
     np.testing.assert_array_equal(1.0 - tab_up[s], 1.0 - p_up)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(min_value=0, max_value=5000), max_size=64),
+    st.integers(min_value=0, max_value=200),
+    st.one_of(st.floats(min_value=8.0, max_value=1e16), st.just(float("inf")),
+              st.integers(min_value=8, max_value=10**6),
+              st.floats(min_value=8.0, max_value=1e16).map(np.float32)),
+)
+def test_law_on_a_geometry_slice_matches_direct(values, extra, a):
+    """The law on the head [:m + 1] of a geometry built over a longer range
+    (the simulator's rule table) holds the same bits as the law at the
+    positions themselves, for any kind of a."""
+    s = np.array(values + [0], dtype=np.int64)
+    m = int(s.max())
+    geometry = step_geometry(np.arange(m + extra + 1, dtype=np.int64))
+    p_down, p_up = flat_step_probs_on(tuple(g[:m + 1] for g in geometry), a)
+    ref_down, ref_up = flat_step_probs_at(np.arange(m + 1), a)
+    for got, ref in ((p_down, ref_down), (p_up, ref_up), (1.0 - p_up, 1.0 - ref_up)):
+        assert got.dtype == ref.dtype == np.float64
+        np.testing.assert_array_equal(got, ref)
+    direct_down, direct_up = flat_step_probs_at(s, a)
+    np.testing.assert_array_equal(p_down[s], direct_down)
+    np.testing.assert_array_equal(p_up[s], direct_up)
 
 
 def test_stair_step_examples():

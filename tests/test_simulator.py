@@ -64,6 +64,36 @@ def test_uniform_feed_column_j_is_draw_j(total, count):
         feed.next_column()
 
 
+@pytest.mark.parametrize("base", [2**63, 2**64 - 1])
+def test_uniform_feed_at_full_width_keys(base):
+    """Keys that use all 64 bits of both words read the same streams, across
+    a block boundary.  The reference key is a uint64 array: a list of ints
+    that large would reach Philox through float64."""
+    total = _BLOCK + 5
+    replications = [0, 2**64 - 1]
+    feed = _UniformFeed([replication_seed(base, r) for r in replications], total)
+    columns = np.array([feed.next_column().copy() for _ in range(total)])
+    for k, r in enumerate(replications):
+        key = np.array([r, base], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key))
+        np.testing.assert_array_equal(columns[:, k], stream.random(total))
+
+
+def test_trajectory_rows_are_single_replications(cond_schedule):
+    """The batched checkpoint rows are each replication's own checkpoints,
+    across a chunk boundary."""
+    count = _CHUNK + 2
+    rows = list(simulator.trajectory_csv_rows(cond_schedule, 2, SEED, count))
+    assert rows[0] == ("replication", "n", "s")
+    assert len(rows) == 1 + 2 * count
+    for r in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        traj = run_replication(cond_schedule, 2, replication_seed(SEED, r))
+        assert rows[1 + 2 * r: 3 + 2 * r] == [(r, n, s) for n, s in traj.checkpoints]
+    assert list(simulator.trajectory_csv_rows(cond_schedule, 2, SEED, 0)) == [rows[0]]
+    with pytest.raises(ValueError, match="count"):
+        simulator.trajectory_csv_rows(cond_schedule, 2, SEED, -3)
+
+
 def test_trajectory_determinism(scaled_schedule):
     seed = replication_seed(SEED, 12)
     t1 = run_replication(scaled_schedule, 1, seed)
