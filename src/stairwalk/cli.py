@@ -14,7 +14,10 @@ of `simulate` and `control` (env STAIRWALK_THREADS is the fallback) is the
 number of forked worker processes that run Monte Carlo chunks; each worker
 receives its job through the pool's initializer.  It must be >= 1, defaults
 to every usable CPU, and is capped at the usable CPUs and the chunk count.
-Results are invariant to the setting.
+Results are invariant to the setting.  `dp` has no --threads: when fork is
+available and more than one CPU is usable, it writes its law CSV through one
+forked writer process while it goes on stepping the DP, and its outputs do not
+depend on that.
 """
 
 from __future__ import annotations
@@ -196,6 +199,8 @@ def cmd_dp(args) -> int:
     sched = _load_schedule(args.schedule)
     if not args.out and args.threshold is None:
         raise ValueError("nothing to do: pass --out for a law dump and/or --threshold")
+    if args.json and args.threshold is None:
+        raise ValueError("--json writes the event probability, which needs --threshold")
     # one pass over the laws serves both the CSV and the event probability,
     # and it copies out only the laws they read
     ends = None

@@ -9,17 +9,41 @@ reduced to plain JSON values, byte for byte, but walks the report once: exact
 dicts, lists and scalars are encoded as they are met, everything else is
 reduced first (`to_jsonable`, dataclass fields, "p/q" Fractions, tuples,
 numpy scalars and arrays).
+
+`dump_law_csv` formats each law in a forked writer process when fork is
+available and more than one CPU is usable, so that the caller goes on
+stepping the DP while the previous law is formatted; otherwise the same
+per-law formatter runs in-process.  The protocol:
+
+* the caller opens the file and the writer inherits it, so a bad path fails
+  before the first law is drawn, and only the writer writes to it;
+* the caller sends (n, float64 masses) of each selected law over a pipe,
+  then an end marker (None), and waits for the one reply, the status: None,
+  or the (errno, strerror) of the first write error, which it raises as an
+  `OSError`.  After a write error the writer drains the pipe to the end
+  marker, so the caller never blocks on a full pipe;
+* each process closes its copy of the other's end of the pipe.  The writer
+  closes the caller's end, so that when the caller stops early (its laws
+  raised) and closes its end, the writer reads EOF and exits instead of
+  waiting forever.  The caller closes the writer's end, so that a writer
+  that dies is EOF, not a hang;
+* the writer ignores SIGINT and prints nothing; the caller always closes its
+  end and joins the writer, so no process outlives the call.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import multiprocessing
+import signal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
+
+from .simulator import usable_cpus
 
 _INF = float("inf")
 
@@ -135,19 +159,75 @@ def dump_csv(rows, path: str | Path):
             writer.writerow([fmt_real(v) for v in row])
 
 
+_LAW_HEADER = "n,s,mass\r\n"
+
+
+def _selected_laws(laws, boundaries):
+    """(n, float64 masses) of each law to write."""
+    for law in laws:
+        if boundaries is None or law.n in boundaries:
+            yield law.n, np.asarray(law.mass, dtype=np.float64)
+
+
+def _law_text(n: int, mass: np.ndarray) -> str:
+    """The CSV rows of one law: one `%` over its nonzero entries."""
+    support = np.flatnonzero(mass)
+    flat = [None] * (2 * len(support))
+    flat[0::2] = support.tolist()
+    flat[1::2] = mass[support].tolist()
+    return (f"{n},%d,%.17g\r\n" * len(support)) % tuple(flat)
+
+
+def _law_writer(fp, conn, parent_end) -> None:
+    """The forked writer: write the header and each law from `conn` to `fp`
+    until the end marker, then reply with the status."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()  # else the parent closing its end is no EOF here
+    try:
+        laws = iter(conn.recv, None)  # the laws up to the end marker
+        status = None
+        try:
+            with fp:
+                fp.write(_LAW_HEADER)
+                for item in laws:
+                    fp.write(_law_text(*item))
+        except OSError as exc:  # a write, or the flush on close
+            status = (exc.errno, exc.strerror)
+            for _ in laws:  # drain to the end marker, unless it came already
+                pass
+        conn.send(status)
+    except (EOFError, OSError):
+        pass  # the parent stopped early, and raises its own error
+
+
 def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
     """Write (n, s, mass) rows for every law of S_n, or only for those whose
     n is in `boundaries`, leaving out zero masses; rational masses go out as
     floats.  The bytes are those of `dump_csv` on the same rows, but each
-    law's rows are formatted by one `%` over its nonzero entries."""
+    law's rows are formatted by one `%` over its nonzero entries.
+
+    With fork and more than one usable CPU, a forked writer formats and
+    writes while the caller goes on producing laws (see the module notes)."""
     with open(path, "w", newline="") as fp:
-        fp.write("n,s,mass\r\n")
-        for law in laws:
-            if boundaries is not None and law.n not in boundaries:
-                continue
-            mass = np.asarray(law.mass, dtype=np.float64)
-            support = np.flatnonzero(mass)
-            flat = [None] * (2 * len(support))
-            flat[0::2] = support.tolist()
-            flat[1::2] = mass[support].tolist()
-            fp.write((f"{law.n},%d,%.17g\r\n" * len(support)) % tuple(flat))
+        if usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            fp.write(_LAW_HEADER)
+            for n, mass in _selected_laws(laws, boundaries):
+                fp.write(_law_text(n, mass))
+            return
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        writer = ctx.Process(target=_law_writer, args=(fp, theirs, ours))
+        writer.start()
+        theirs.close()  # else the writer dying is no EOF here
+        try:
+            for item in _selected_laws(laws, boundaries):
+                ours.send(item)
+            ours.send(None)
+            status = ours.recv()
+        except EOFError:
+            raise OSError("the law writer exited without a status") from None
+        finally:
+            ours.close()
+            writer.join()
+        if status is not None:
+            raise OSError(*status)

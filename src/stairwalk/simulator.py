@@ -251,6 +251,14 @@ def _run_job(seeds: list[int]):
     return _job(seeds)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | None):
     """Run fn(seeds) over the fixed chunks of replications; ordered results.
 
@@ -262,8 +270,7 @@ def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | 
         raise ValueError("replications must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1)
+    cpus = usable_cpus()
     ranges = range(0, replications, _CHUNK)
     workers = min(cpus if threads is None else int(threads), cpus, len(ranges))
     chunks = ([replication_seed(base_seed, r) for r in range(lo, min(lo + _CHUNK, replications))]

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from stairwalk import (
     law_at,
     oracle,
     scaled_profile,
+    serialize,
     steady_drift_schedule,
     user_schedule,
 )
@@ -221,10 +224,15 @@ def test_dp_rational_mode(scaled_file, capsys):
     assert "1/10" in capsys.readouterr().out
 
 
-def test_dp_exit_codes(scaled_file):
+def test_dp_exit_codes(scaled_file, tmp_path):
     assert main(["dp", "--schedule", scaled_file, "--horizon", "30000",
                  "--threshold", "1"]) == 2
     assert main(["dp", "--schedule", scaled_file, "--horizon", "10"]) == 1
+    # --json writes the event probability, so it needs --threshold
+    law_csv, p_json = tmp_path / "law.csv", tmp_path / "p.json"
+    assert main(["dp", "--schedule", scaled_file, "--horizon", "10",
+                 "--out", str(law_csv), "--json", str(p_json)]) == 1
+    assert not law_csv.exists() and not p_json.exists()
 
 
 def test_dp_mass_defect_is_one_error_line(scaled_file, monkeypatch, capsys):
@@ -279,6 +287,58 @@ def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
     assert tables("--out", str(tmp_path / "law.csv"), "--boundaries-only") == alone
     assert tables("--out", str(tmp_path / "law.csv"), "--json",
                   str(tmp_path / "p.json"), "--non-strict", "--boundaries-only") == alone
+
+
+@pytest.fixture
+def law_writer(monkeypatch):
+    """Route the law CSV through the forked writer, whatever the CPU count."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the law writer needs the fork start method")
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+
+
+def _one_error_line(capfd) -> str:
+    """The one line on stderr, read at the file descriptor, so that a
+    traceback from the forked writer would show; and no process left."""
+    lines = capfd.readouterr().err.splitlines()
+    assert multiprocessing.active_children() == []
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("horizon", ["10", "1000"])  # fails on close / mid-stream
+def test_dp_write_error_is_one_line(scaled_file, law_writer, capfd, horizon):
+    capfd.readouterr()
+    assert main(["dp", "--schedule", scaled_file, "--horizon", horizon,
+                 "--out", "/dev/full"]) == 1
+    assert _one_error_line(capfd) == "error: [Errno 28] No space left on device"
+
+
+def test_dp_bad_out_path_fails_before_the_dp(scaled_file, law_writer, tmp_path,
+                                             monkeypatch, capfd):
+    built = []
+    real = oracle.step_prob_tables
+    monkeypatch.setattr(oracle, "step_prob_tables",
+                        lambda s_max, a: built.append(a) or real(s_max, a))
+    path = tmp_path / "missing" / "law.csv"
+    capfd.readouterr()
+    assert main(["dp", "--schedule", scaled_file, "--horizon", "900",
+                 "--threshold", "150", "--out", str(path)]) == 1
+    assert _one_error_line(capfd) == f"error: [Errno 2] No such file or directory: {str(path)!r}"
+    assert built == []
+
+
+def test_law_writer_passes_on_the_laws_error(law_writer, tmp_path, capfd):
+    def laws():
+        yield from oracle.transient_law(1, user_schedule(scaled_profile(), [5], [8.0], [3]))
+        raise RuntimeError("after two laws")
+
+    capfd.readouterr()
+    with pytest.raises(RuntimeError, match="after two laws"):
+        serialize.dump_law_csv(laws(), tmp_path / "law.csv")
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
 
 
 def test_feasibility_command(user_file, scaled_file, tmp_path, capsys):

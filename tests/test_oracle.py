@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from stairwalk import (
     flat_step_distribution,
     law_at,
     scaled_profile,
+    serialize,
     transient_law,
     user_schedule,
 )
@@ -195,7 +197,10 @@ def _law_csv_rows(laws, boundaries=None):
                 yield (law.n, s, p)
 
 
-def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_path):
+def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_path,
+                                           monkeypatch):
+    """Both writer paths, the forked writer and the in-process one with a
+    single usable CPU, write the bytes of the csv.writer reference."""
     user = user_schedule(scaled_profile(), [5, 7, 9, 40],
                          [8.0, 10.0, Fraction(25, 2), 20.0], [3, 6, 10, 20])
     cases = [
@@ -206,13 +211,27 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
         # past step ~1075, zero masses sit above the support
         (paper_schedule, 1500, "float", {0, 1100, 1499, 1500}),
     ]
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    paths = [2, 1] if "fork" in multiprocessing.get_all_start_methods() else [1]
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     for sched, horizon, arithmetic, steps in cases:
         laws = list(transient_law(horizon, sched, arithmetic, steps=steps))
         for boundaries in (None, phase_ends(sched, horizon) | {horizon}, set()):
-            dump_law_csv(laws, fast, boundaries)
             dump_csv(_law_csv_rows(laws, boundaries), slow)
-            assert fast.read_bytes() == slow.read_bytes()
+            for cpus in paths:
+                monkeypatch.setattr(serialize, "usable_cpus", lambda cpus=cpus: cpus)
+                started.clear()
+                dump_law_csv(laws, fast, boundaries)
+                assert len(started) == (cpus > 1)  # a writer ran only when forked
+                assert fast.read_bytes() == slow.read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def _full_width_laws(horizon, schedule):
