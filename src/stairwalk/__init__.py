@@ -34,8 +34,6 @@ from .core import (
 )
 from .domination import (
     ZDistribution,
-    check_domination,
-    coupled_sample,
     coupled_sample_many,
     mean_z,
     z_distribution,
@@ -108,10 +106,8 @@ __all__ = [
     "audit_single",
     "backward_neighbor",
     "build_paper_schedule",
-    "check_domination",
     "check_schedule_feasibility",
     "concentration_gain",
-    "coupled_sample",
     "coupled_sample_many",
     "divergence_lower_bound",
     "event_probability",

@@ -72,16 +72,14 @@ def phase_success_bound(i: int, schedule) -> float:
     return 0.0 if denom <= 2.0 else 1.0 - 2.0 / denom
 
 
-def true_mean_phase_bound(i: int, schedule, gain: float | None = None) -> float:
+def true_mean_phase_bound(i: int, schedule) -> float:
     """One-sided bound 1 - exp(-(L E(Z_i) - gain)^2 / 2L), centered at the
-    actual dominated-step mean; 0 (vacuous) when the mean does not clear the
-    required gain."""
+    actual dominated-step mean, with gain the required gain T_i - T_{i-1};
+    0 (vacuous) when the mean does not clear it."""
     if i < 2:
         raise ValueError("phase success bounds start at phase 2")
     L = schedule.length(i)
-    if gain is None:
-        gain = float(schedule.required_gain(i))
-    t = L * float(mean_z(i, schedule)) - gain
+    t = L * float(mean_z(i, schedule)) - float(schedule.required_gain(i))
     if t <= 0:
         return 0.0
     return 1.0 - math.exp(-t * t / (2.0 * L))

@@ -10,9 +10,11 @@ For phase i >= 2 the three-point variable Z_i with masses
 is stochastically below every in-phase flattened step taken from height
 x >= i: its CDF sits above the step law's at both atoms because
 x^2/D_x decreases and (x-1)^2/D_x increases in x, with the +-slack giving
-strict margin.  `coupled_sample` realizes the ordering constructively: both
-variables are inverse-CDF transforms of one uniform draw with atoms ordered
--1 < 0 < 1, so the step dominates the Z value pathwise, draw by draw.
+strict margin.  `coupled_sample_many` realizes the ordering constructively:
+both variables are inverse-CDF transforms of one uniform draw with atoms
+ordered -1 < 0 < 1, so the step dominates the Z value pathwise, draw by
+draw.  `_margins` gives both margins over a range of heights; the audit's
+C5 reads it at x = i.
 
 `_z_ratio` is the one formula for Z_i in both arithmetics: it gives c_i and
 b_i as integers over one positive denominator, exact when a_i and the slack
@@ -145,52 +147,13 @@ def mean_z(i: int, schedule) -> Number:
     return dominated_drift(i, schedule.a_of_phase(i), schedule.profile.slack)
 
 
-# ======================================================================
-# Stochastic domination over a height range
-# ======================================================================
-
-
-@dataclass
-class DominationReport:
-    i: int
-    x_lo: int
-    x_hi: int
-    min_c_margin: float          # min over the grid of c_i - p_down(x)
-    min_b_margin: float          # min over the grid of p_up(x) - b_i
-    argmin_c: tuple[int, str]    # (x, parity)
-    argmin_b: tuple[int, str]
-    violations: int
-    ok: bool
-
-    def to_jsonable(self) -> dict:
-        d = self.__dict__.copy()
-        d["argmin_c"] = list(self.argmin_c)
-        d["argmin_b"] = list(self.argmin_b)
-        return d
-
-
-def domination_margins(
-    i: int, schedule, x_lo: int, x_hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, c_margins, b_margins) float arrays over both parities.
-
-    Rows alternate (x diagonal, x sub-diagonal) for x in [x_lo, x_hi]; the
-    margins are c_i - p_down and p_up - b_i of the flattened step law at
-    flat positions 2(x-1) and 2x-3.
-    """
-    if x_lo < i:
-        raise ValueError(f"domination is only claimed for x >= i, got x_lo={x_lo}")
-    if x_hi < x_lo:
-        raise ValueError("empty height range")
-    z = z_distribution(i, schedule)
-    x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
-    return _margins(float(z.c), float(z.b), float(schedule.a_of_phase(i)), x)
-
-
 def _margins(c, b, a, x: np.ndarray):
-    """:func:`domination_margins` of the law (c, b) against steps at a, over
-    the heights x.  c, b and a are floats, or float arrays with one entry
-    per height."""
+    """(x, c_margins, b_margins) of the law (c, b) against the flattened
+    steps at a from the heights x, as float arrays over both parities.
+
+    Rows alternate (x diagonal, x sub-diagonal); the margins are c - p_down
+    and p_up - b of the step law at flat positions 2(x-1) and 2x-3.  c, b
+    and a are floats, or float arrays with one entry per height."""
     def rows(v):  # one entry per row
         return np.repeat(v, 2) if np.ndim(v) else v
 
@@ -201,31 +164,18 @@ def _margins(c, b, a, x: np.ndarray):
     return rows(x), rows(c) - p_down, p_up - rows(b)
 
 
-def check_domination(i: int, schedule, x_lo: int, x_hi: int) -> DominationReport:
-    """Assert CDF dominance of Z_i below the step law across [x_lo, x_hi]."""
-    xs, c_m, b_m = domination_margins(i, schedule, x_lo, x_hi)
-    parity = np.tile(np.array(["diagonal", "sub-diagonal"]), len(xs) // 2)
-    kc, kb = int(np.argmin(c_m)), int(np.argmin(b_m))
-    violations = int((c_m < 0).sum() + (b_m < 0).sum())
-    return DominationReport(
-        i=i,
-        x_lo=x_lo,
-        x_hi=x_hi,
-        min_c_margin=float(c_m[kc]),
-        min_b_margin=float(b_m[kb]),
-        argmin_c=(int(xs[kc]), str(parity[kc])),
-        argmin_b=(int(xs[kb]), str(parity[kb])),
-        violations=violations,
-        ok=violations == 0,
-    )
-
-
 # ======================================================================
 # Monotone coupling
 # ======================================================================
 
 
-def _require_dominated(step_law: StepDistribution, z: ZDistribution):
+def coupled_sample_many(
+    u: Sequence[float], step_law: StepDistribution, z: ZDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map each uniform draw to (step, zval), each by inverse CDF.
+
+    Marginals are exact and step >= zval for every u in [0, 1).
+    """
     # CDF dominance at both atom boundaries; equivalent to the existence of
     # a pathwise-ordered coupling
     if not (z.c >= step_law.p_down and z.b <= step_law.p_up):
@@ -233,30 +183,8 @@ def _require_dominated(step_law: StepDistribution, z: ZDistribution):
             f"step law {step_law.as_tuple()} does not dominate Z "
             f"(c={z.c}, b={z.b}); coupling would not be monotone"
         )
-
-
-def coupled_sample(
-    u: float, step_law: StepDistribution, z: ZDistribution
-) -> tuple[int, int]:
-    """Map one uniform draw to (step, zval), each by inverse CDF.
-
-    Marginals are exact and step >= zval for every u in [0, 1).
-    """
-    if not 0 <= u < 1:
-        raise ValueError(f"u must be in [0, 1), got {u}")
-    _require_dominated(step_law, z)
-    step = -1 if u < step_law.p_down else (1 if u >= 1 - step_law.p_up else 0)
-    zval = -1 if u < z.c else (1 if u >= 1 - z.b else 0)
-    return step, zval
-
-
-def coupled_sample_many(
-    u: Sequence[float], step_law: StepDistribution, z: ZDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`coupled_sample` over an array of uniforms."""
-    _require_dominated(step_law, z)
     u = np.asarray(u, dtype=np.float64)
-    if ((u < 0) | (u >= 1)).any():
+    if not ((u >= 0) & (u < 1)).all():  # NaN fails both
         raise ValueError("uniforms must lie in [0, 1)")
     step = _inverse_cdf(u, float(step_law.p_down), 1.0 - float(step_law.p_up))
     zval = _inverse_cdf(u, float(z.c), 1.0 - float(z.b))

@@ -384,7 +384,7 @@ def check_c6(rec: _PhaseRecord) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def check_c7(x_max: int = 10**6) -> ClaimResult:
+def check_c7(x_max: int) -> ClaimResult:
     bad = monotonicity_violation(x_max)
     verdict, witness = _prefix_verdict(bad, 1, None if bad is None else {"x": bad})
     return ClaimResult(
@@ -404,7 +404,7 @@ def check_c7(x_max: int = 10**6) -> ClaimResult:
 # ----------------------------------------------------------------------
 
 
-def check_c8(schedule, s_max: int = 10**6) -> ClaimResult:
+def check_c8(schedule, s_max: int) -> ClaimResult:
     a = Fraction(8)
     statement = (
         "phase-1 law at a = 8: p_down = 0 at every position and "
@@ -509,7 +509,11 @@ def audit_single(claim_id: str, schedule, **ranges) -> ClaimResult:
     """Run one claim with custom ranges (i_max, x_depth, x_max, s_max)."""
     if claim_id not in _CHECKS:
         raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
-    ranges = dict(i_max=10**4, x_depth=10**3, x_max=10**6, s_max=10**6) | ranges
+    defaults = dict(i_max=10**4, x_depth=10**3, x_max=10**6, s_max=10**6)
+    unknown = sorted(ranges.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"unknown range {unknown[0]!r}; expected one of {tuple(defaults)}")
+    ranges = defaults | ranges
     return _CHECKS[claim_id](_record(schedule, (claim_id,), ranges), ranges)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -289,12 +290,32 @@ def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
                   str(tmp_path / "p.json"), "--non-strict", "--boundaries-only") == alone
 
 
+_WRITER_DEADLINE_S = 30
+
+
 @pytest.fixture
 def law_writer(monkeypatch):
-    """Route the law CSV through the forked writer, whatever the CPU count."""
+    """Route the law CSV through the forked writer, whatever the CPU count.
+
+    A test that runs past the deadline ends every child process and fails,
+    so that a writer which never sees EOF fails the suite instead of hanging
+    it.  `pytest.fail` is no `Exception`, so the CLI cannot report it as an
+    error line."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the law writer needs the fork start method")
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.terminate()
+            child.join()
+        pytest.fail(f"the law writer test ran past {_WRITER_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_WRITER_DEADLINE_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def _one_error_line(capfd) -> str:

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
     StepDistribution,
-    check_domination,
-    coupled_sample,
     coupled_sample_many,
     flat_step_distribution,
     mean_z,
@@ -18,7 +16,7 @@ from stairwalk import (
     user_schedule,
     z_distribution,
 )
-from stairwalk.domination import _c_b, _z_ratio, dominated_drift, domination_margins
+from stairwalk.domination import _c_b, _z_ratio, dominated_drift
 
 
 def test_z_distribution_paper_i2(paper_schedule):
@@ -110,15 +108,6 @@ def test_validity_bounds_along_rule_values(paper_schedule):
         assert z.b < Fraction(9, 20)
 
 
-def test_check_domination_grid(paper_schedule):
-    eps = float(paper_schedule.profile.slack)
-    for i, hi in [(2, 500), (1000, 1500)]:
-        report = check_domination(i, paper_schedule, i, hi)
-        assert report.ok and report.violations == 0
-        assert report.min_c_margin >= eps - 1e-12
-        assert report.min_b_margin >= eps - 1e-12
-
-
 def test_domination_margin_equals_slack_at_x_equal_i(paper_schedule):
     # exact equality case: at x = i the binding margins are exactly the slack
     eps = paper_schedule.profile.slack
@@ -134,13 +123,6 @@ def test_domination_margin_equals_slack_at_x_equal_i(paper_schedule):
         assert diag.p_up - z.b > eps
 
 
-def test_domination_requires_x_at_least_i(paper_schedule):
-    with pytest.raises(ValueError):
-        check_domination(3, paper_schedule, 2, 10)
-    with pytest.raises(ValueError):
-        domination_margins(3, paper_schedule, 3, 2)
-
-
 # ----------------------------------------------------------------------
 # coupling
 # ----------------------------------------------------------------------
@@ -152,27 +134,36 @@ def _z(c, b, i=2):
     return ZDistribution(i=i, c=c, b=b, stay=1 - c - b)
 
 
+def _coupled_sample(u, step, z):
+    """One draw through `coupled_sample_many`, as a pair of ints."""
+    sv, zv = coupled_sample_many([u], step, z)
+    return int(sv[0]), int(zv[0])
+
+
 def test_coupled_sample_interval_structure():
     step = StepDistribution(0.1, 0.5, 0.4)
     z = _z(c=0.2, b=0.3)
     # u below both down-masses
-    assert coupled_sample(0.05, step, z) == (-1, -1)
+    assert _coupled_sample(0.05, step, z) == (-1, -1)
     # u in [p_down, c): step has moved on to 0/+1, z still at -1
-    step_val, z_val = coupled_sample(0.15, step, z)
+    step_val, z_val = _coupled_sample(0.15, step, z)
     assert z_val == -1 and step_val >= 0
     # u at the top of both
-    assert coupled_sample(0.99, step, z) == (1, 1)
+    assert _coupled_sample(0.99, step, z) == (1, 1)
     # u in the middle band
-    assert coupled_sample(0.5, step, z) == (0, 0)
+    assert _coupled_sample(0.5, step, z) == (0, 0)
 
 
 def test_coupled_sample_rejects_undominated():
     step = StepDistribution(0.3, 0.4, 0.3)
     bad = _z(c=0.1, b=0.5)  # c < p_down and b > p_up
     with pytest.raises(ValueError, match="dominate"):
-        coupled_sample(0.5, step, bad)
-    with pytest.raises(ValueError):
-        coupled_sample(1.0, step, _z(0.4, 0.2))
+        _coupled_sample(0.5, step, bad)
+    for u in (1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            _coupled_sample(u, step, _z(0.4, 0.2))
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        coupled_sample_many([0.5, float("nan")], step, _z(0.4, 0.2))
 
 
 @given(st.data())
@@ -187,7 +178,7 @@ def test_coupling_is_monotone_and_marginal_exact(data):
     step = StepDistribution(p_down, 1 - p_down - p_up, p_up)
     z = _z(c=c, b=b)
     u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-    s_val, z_val = coupled_sample(u, step, z)
+    s_val, z_val = _coupled_sample(u, step, z)
     assert s_val >= z_val
     assert s_val == (-1 if u < p_down else (1 if u >= 1 - p_up else 0))
     assert z_val == (-1 if u < c else (1 if u >= 1 - b else 0))
@@ -200,8 +191,9 @@ def test_coupled_sample_many_matches_scalar_and_masses():
     u = (np.arange(n) + 0.5) / n  # stratified
     sv, zv = coupled_sample_many(u, step, z)
     assert (sv >= zv).all()
+    # a one-draw call gives the batch's entry
     for k in (0, 1, n // 2, n - 1):
-        assert coupled_sample(float(u[k]), step, z) == (int(sv[k]), int(zv[k]))
+        assert _coupled_sample(float(u[k]), step, z) == (int(sv[k]), int(zv[k]))
     # stratified frequencies are within 1/n of the exact masses
     for vals, law in ((sv, (0.15, 0.45, 0.4)), (zv, (0.25, 0.45, 0.3))):
         freq = [(vals == v).mean() for v in (-1, 0, 1)]

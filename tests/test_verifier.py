@@ -22,6 +22,7 @@ from stairwalk import (
     mean_z,
     steady_drift_schedule,
     verifier,
+    z_distribution,
 )
 from stairwalk.core import PAPER_LITERAL
 from stairwalk.domination import ZDistribution, _margins, dominated_drift
@@ -188,6 +189,14 @@ def test_audit_ranges_are_checked(paper_schedule):
     assert audit_single("C7", user, x_max=2).verdict == "holds"
     assert audit_single("C8", user, s_max=1).verdict == "holds"
     assert audit_single("C8", user, x_max=0).verdict == "holds"
+    # a range name that no claim reads is an error, raised before any check
+    # of the schedule or the other ranges
+    for cid, schedule in (("C1", paper_schedule), ("C1", user), ("C7", user)):
+        for key in ("imax", "x_monotone_max", "s_phase1_max"):
+            with pytest.raises(ValueError) as exc:
+                audit_single(cid, schedule, i_max=-1, **{key: 5})
+            assert str(exc.value) == (f"unknown range {key!r}; expected one of "
+                                      "('i_max', 'x_depth', 'x_max', 's_max')")
 
 
 def test_c8_details(report):
@@ -554,6 +563,20 @@ def test_c5_grid_minimum_is_at_x_equals_i(name, request):
     for k, (c_min, kc, b_min, kb) in enumerate(_ref_c5_phases(rec, 1000)):
         assert (kc, kb) == (int(np.argmin(c_m[k])), int(np.argmin(b_m[k])))
         assert (c_min, b_min) == (c_m[k].min(), b_m[k].min())
+
+
+def test_grid_margins_stay_above_the_slack(paper_schedule):
+    """Z_i lies below the step law from every height of a grid above i,
+    with each margin at least the slack: at i = 2 over x in [2, 500] and at
+    i = 1000 over [1000, 1500]."""
+    eps = float(paper_schedule.profile.slack)
+    for i, hi in [(2, 500), (1000, 1500)]:
+        z = z_distribution(i, paper_schedule)
+        _, c_m, b_m = _ref_grid(float(z.c), float(z.b),
+                                float(paper_schedule.a_of_phase(i)), i, hi)
+        assert (c_m >= 0).all() and (b_m >= 0).all()
+        assert c_m.min() >= eps - 1e-12
+        assert b_m.min() >= eps - 1e-12
 
 
 def _fractions(lo, hi, max_den):
