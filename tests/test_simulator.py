@@ -367,6 +367,42 @@ def test_golden_streams():
     assert (report.pairs_checked, report.violations) == (600, 0)
 
 
+def test_golden_a8_walks():
+    """Walks whose a = 8 segments cannot step down, pinned whole: the
+    constant control, a coupling check whose checked phase runs at a = 8,
+    and early-stop checkpoints of a chunk in which some replications fail
+    an a = 8 phase, so the stop mask switches on partway through."""
+    assert run_control("constant", 200, 50, SEED, a=8.0).to_jsonable() == {
+        "mode": "constant", "horizon": 200, "replications": 50, "base_seed": SEED,
+        "drift": 0.46630000000000005,
+        "final_quantiles": {"0.01": 70.96, "0.25": 89.25, "0.5": 94.0, "0.75": 99.0,
+                            "0.99": 111.53},
+        "nondecreasing_fraction": 1.0, "a": 8.0, "growth_rule": None,
+        "occupancy_mode": None, "low_state_fraction": None, "tail_histogram": None,
+    }
+
+    sch = user_schedule(scaled_profile(), lengths=[60, 40, 40],
+                        a_values=[8.0, 8.0, 9.0], thresholds=[25, 42, 58])
+    assert run_coupled_check(sch, 2, 300, SEED).to_jsonable() == {
+        "max_phase": 2, "replications": 300, "pairs_checked": 300, "violations": 0,
+        "ok": True}
+    assert run_coupled_check(sch, 3, 300, SEED).to_jsonable() == {
+        "max_phase": 3, "replications": 300, "pairs_checked": 600, "violations": 0,
+        "ok": True}
+
+    rows = list(simulator.trajectory_csv_rows(sch, 3, SEED, 300))[1:]
+    paths = [[s for _, _, s in rows[k:k + 3]] for k in range(0, len(rows), 3)]
+    assert [sum(path[k] for path in paths) for k in range(3)] == [7873, 10899, 13453]
+    assert [path[0] for path in paths[:12]] == [26, 23, 18, 29, 24, 27, 27, 22, 24, 23, 16, 27]
+    assert [path[2] for path in paths[:12]] == [63, 23, 18, 72, 24, 61, 56, 22, 24, 23, 16, 69]
+    # without early stop the walks that failed phase 1 move on
+    assert int(final_positions(sch, 140, 300, SEED).sum()) == 18805
+    for early_stop in (True, False):
+        res = run_experiment(sch, 3, 300, SEED, early_stop=early_stop)
+        assert [(p.attempts, p.successes) for p in res.per_phase] == [
+            (300, 158), (158, 154), (154, 145)]
+
+
 def test_golden_fast_growth_rule():
     """A rule whose a changes at every step, pinned whole."""
     doc = run_control("fast-growth", 300, 50, SEED, growth=lambda n: 8.0 + n / 7).to_jsonable()
