@@ -172,7 +172,8 @@ def _margins(c, b, a, x: np.ndarray):
 def coupled_sample_many(
     u: Sequence[float], step_law: StepDistribution, z: ZDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map each uniform draw to (step, zval), each by inverse CDF.
+    """Map each uniform draw to (step, zval), each by inverse CDF, as two
+    int64 arrays.
 
     Marginals are exact and step >= zval for every u in [0, 1).
     """
@@ -188,4 +189,4 @@ def coupled_sample_many(
         raise ValueError("uniforms must lie in [0, 1)")
     step = _inverse_cdf(u, float(step_law.p_down), 1.0 - float(step_law.p_up))
     zval = _inverse_cdf(u, float(z.c), 1.0 - float(z.b))
-    return step, zval
+    return step.astype(np.int64), zval.astype(np.int64)

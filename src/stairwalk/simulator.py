@@ -39,9 +39,13 @@ position the walk can reach.  Step n consumes uniform column n (draw #n
 of every stream) and maps it through the inverse CDF of the current
 three-point step law (atom order -1 < 0 < 1, matching the monotone
 coupling construction); the coupling check draws its dominated variable Z
-from the same uniform through the same inverse CDF.  Callers only observe
-between steps: phase outcomes and checkpoints, phase minima and Z sums,
-down steps, tail occupancy.
+from the same uniform through the same inverse CDF.  Increments are int8
+and positions int64.  At a = 8 the backward probability 1/2 - 4/a is zero,
+so a constant segment there has no down table and steps with one compare.
+An early-stop mask is read once per segment and applied only once some
+replication has stopped.  Callers only observe between steps: phase
+outcomes and checkpoints, phase minima and Z sums, down steps, tail
+occupancy.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ class _UniformFeed:
     to `Philox.state` converts every entry, and a Python int converts in
     about a third of the time of the numpy uint64 scalars that
     `Philox.state` itself returns.  `buffer_pos` 4 drops any output left
-    from the previous stream.
+    from the previous stream.  The tile-row views and the bound
+    `Generator.random` are made once per feed, not per stream and refill.
     """
 
     def __init__(self, seeds: Sequence[int], total: int):
@@ -115,20 +120,25 @@ class _UniformFeed:
         rows = min(_BLOCK, total)
         self._buf = np.empty((rows, len(seeds)))
         self._tile = np.empty((min(_TILE, len(seeds)), rows))
+        self._rows = list(self._tile)   # one view per tile row, full width
+        self._random = self._gen.random
         self._drawn = self._col = self._end = 0
 
     def _refill(self) -> None:
         width = min(_BLOCK, self._total - self._drawn)
         if width <= 0:
             raise IndexError(f"the walk has taken all {self._total} draws")
-        state = self._state["state"]
-        state["counter"][0] = self._drawn // 4
+        if width < self._tile.shape[1]:   # the walk's last, short block
+            self._rows = [row[:width] for row in self._rows]
+        bg, state, random = self._bg, self._state, self._random
+        philox = state["state"]
+        philox["counter"][0] = self._drawn // 4
         for lo in range(0, len(self._keys), _TILE):
             keys = self._keys[lo:lo + _TILE]
-            for k, key in enumerate(keys):
-                state["key"] = key
-                self._bg.state = self._state
-                self._gen.random(out=self._tile[k, :width])
+            for key, row in zip(keys, self._rows):
+                philox["key"] = key
+                bg.state = state
+                random(out=row)
             self._buf[:width, lo:lo + len(keys)] = self._tile[:len(keys), :width].T
         self._drawn += width
         self._col, self._end = 0, width
@@ -149,8 +159,9 @@ class Segment(NamedTuple):
     a: float | Callable[[int], float]
 
 
-# constant a -> (p_down, 1 - p_up) lookup tables over s in [0, total steps]
-Tables = dict[float, tuple[np.ndarray, np.ndarray]]
+# constant a -> (p_down, 1 - p_up) lookup tables over s in [0, total steps];
+# p_down is None where it is all 0.0 (a = 8: no step goes down)
+Tables = dict[float, tuple[np.ndarray | None, np.ndarray]]
 
 
 def _step_tables(segments: Sequence[Segment]) -> Tables:
@@ -161,7 +172,7 @@ def _step_tables(segments: Sequence[Segment]) -> Tables:
     for seg in segments:
         if not callable(seg.a) and seg.a not in tables:
             p_down, p_up = step_prob_tables(s_max, seg.a)
-            tables[seg.a] = p_down, 1.0 - p_up
+            tables[seg.a] = (p_down if p_down.any() else None), 1.0 - p_up
     return tables
 
 
@@ -169,14 +180,18 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
           s: np.ndarray, move: np.ndarray | None = None
           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance positions `s` in place through `segments`, one step per
-    uniform column, yielding each step's (uniforms, unmasked increments)
-    after `s` has moved.  The uniforms are valid until the next step.
+    uniform column, yielding each step's (uniforms, unmasked int8
+    increments) after `s` has moved.  Both are valid until the next step.
 
-    `tables` comes from `_step_tables(segments)`.  A rule segment builds
+    `tables` comes from `_step_tables(segments)`.  A constant segment whose
+    down table is None steps with one gather and one compare; the dropped
+    compare, u < 0.0, is False for every uniform.  A rule segment builds
     its table at every step, over positions [0, max s], from a step
     geometry made once per walk; its rule must give a >= 8.  `move`, when
-    given, masks every increment; callers may update it in place between
-    steps (early stop clears it after a failed phase).
+    given, masks every increment.  It is read once per segment, at the
+    segment's start, and multiplies the increments only while some entry
+    is False, so callers may update it in place between segments (early
+    stop clears it at the end of a failed phase).
     """
     total = sum(seg.length for seg in segments)
     feed = _UniformFeed(seeds, total)
@@ -187,6 +202,7 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
         rule = seg.a if callable(seg.a) else None
         if rule is None:
             p_down, up_from = tables[seg.a]
+        mask = None if move is None or move.all() else move
         for n in range(n0, n0 + seg.length):
             u = feed.next_column()
             if rule is not None:
@@ -196,8 +212,11 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
                 top = int(s.max()) + 1
                 p_down, p_up = flat_step_probs_on([g[:top] for g in geometry], a)
                 up_from = np.subtract(1.0, p_up, out=p_up)
-            ds = _inverse_cdf(u, p_down[s], up_from[s])
-            s += ds if move is None else ds * move
+            if p_down is None:
+                ds = (u >= up_from[s]).view(np.int8)
+            else:
+                ds = _inverse_cdf(u, p_down[s], up_from[s])
+            s += ds if mask is None else ds * mask
             yield u, ds
         n0 += seg.length
 

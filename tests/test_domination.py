@@ -200,6 +200,20 @@ def test_coupled_sample_many_matches_scalar_and_masses():
         assert np.allclose(freq, law, atol=1.5 / n)
 
 
+@pytest.mark.parametrize("a, s", [(8.0, 6), (8.0, 0), (12.0, 7)])
+def test_coupled_sample_many_returns_int64(a, s):
+    """Both arrays are int64, also for an a = 8 step law, which has no
+    down atom."""
+    step = flat_step_distribution(s, a)
+    z = _z(c=float(step.p_down), b=float(step.p_up) / 2)
+    u = np.linspace(0.0, 1.0, 101)[:-1]
+    sv, zv = coupled_sample_many(u, step, z)
+    assert sv.dtype == zv.dtype == np.int64
+    assert (sv >= zv).all()
+    assert sv.tolist() == [-1 if x < step.p_down else (1 if x >= 1 - step.p_up else 0)
+                           for x in u.tolist()]
+
+
 def test_pathwise_sum_domination():
     step = StepDistribution(0.2, 0.3, 0.5)
     z = _z(c=0.35, b=0.25)

@@ -7,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stairwalk import (
     event_probability,
@@ -23,6 +24,7 @@ from stairwalk import (
     wilson_interval,
 )
 from stairwalk import simulator
+from stairwalk.kernel import step_prob_tables
 from stairwalk.simulator import _BLOCK, _CHUNK, _TILE, _UniformFeed
 
 SEED = 20240817
@@ -401,6 +403,71 @@ def test_golden_a8_walks():
         res = run_experiment(sch, 3, 300, SEED, early_stop=early_stop)
         assert [(p.attempts, p.successes) for p in res.per_phase] == [
             (300, 158), (158, 154), (154, 145)]
+
+
+def _reference_walk(schedule, phases, r, base_seed, early_stop, horizon=None):
+    """One replication walked a step at a time in Python: stream r is
+    `Generator(Philox(key=[r, base_seed]))`, and step n compares its draw
+    with the `step_prob_tables` entries of the phase's a at the current s.
+    Returns the positions at the phase ends and their outcomes, or with
+    `horizon` the position after that many steps, with no phase events."""
+    ends = [schedule.N(i) for i in range(1, phases + 1)]
+    total = ends[-1] if horizon is None else horizon
+    key = np.array([r, base_seed], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(total).tolist()
+    tables = {a: step_prob_tables(total, a) for a in {float(schedule.a_of_phase(i))
+                                                      for i in range(1, phases + 1)}}
+    s, alive, phase, checkpoints, outcomes = 0, True, 1, [], []
+    for n in range(total):
+        p_down, p_up = tables[float(schedule.a_of_phase(phase))]
+        if alive:
+            s += -1 if u[n] < p_down[s] else (1 if u[n] >= 1.0 - p_up[s] else 0)
+        if n + 1 == ends[phase - 1]:
+            if horizon is None:
+                t = schedule.threshold(phase)
+                ok = s > t if schedule.strict_threshold(phase) else s >= t
+                checkpoints.append(s)
+                outcomes.append(ok)
+                alive = alive and (ok or not early_stop)
+            phase += 1
+    return s if horizon is not None else (checkpoints, outcomes)
+
+
+@st.composite
+def _small_user_schedules(draw):
+    """Two to four short phases: phase 1 at a = 8, then nondecreasing a
+    drawn from 8 (no down steps), a few values above 8, and inf."""
+    phases = draw(st.integers(2, 4))
+    later = sorted(draw(st.lists(st.sampled_from([8.0, 8.5, 11.0, 40.0, float("inf")]),
+                                 min_size=phases - 1, max_size=phases - 1)))
+    lengths = draw(st.lists(st.integers(1, 30), min_size=phases, max_size=phases))
+    thresholds = draw(st.lists(st.integers(0, 25), min_size=phases, max_size=phases))
+    return user_schedule(scaled_profile(), lengths, [8.0, *later], thresholds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=_small_user_schedules(), base_seed=st.integers(0, 2**64 - 1),
+       replications=st.integers(1, 40), early_stop=st.booleans(), data=st.data())
+def test_walks_match_a_scalar_reference(schedule, base_seed, replications, early_stop,
+                                        data):
+    """`run_replication`, a batch of early-stop checkpoints and
+    `final_positions` equal a step-at-a-time reference walk, on schedules
+    that mix a = 8, a > 8 and a = inf phases."""
+    phases = schedule.n_phases
+    want = [_reference_walk(schedule, phases, r, base_seed, early_stop)
+            for r in range(replications)]
+    for r in sorted({0, replications - 1}):
+        traj = run_replication(schedule, phases, replication_seed(base_seed, r),
+                               early_stop=early_stop)
+        assert ([s for _, s in traj.checkpoints], traj.phase_outcomes) == want[r]
+    if early_stop:
+        rows = list(simulator.trajectory_csv_rows(schedule, phases, base_seed,
+                                                  replications))[1:]
+        assert [s for _, _, s in rows] == [s for cps, _ in want for s in cps]
+    horizon = data.draw(st.integers(0, schedule.N(phases)), label="horizon")
+    fin = final_positions(schedule, horizon, replications, base_seed, threads=1)
+    assert fin.tolist() == [_reference_walk(schedule, phases, r, base_seed, False, horizon)
+                            for r in range(replications)]
 
 
 def test_golden_fast_growth_rule():
