@@ -9,12 +9,14 @@ induction conditions, and `control` runs the qualitative regime controls.
 Outputs are machine-first (JSON/CSV); whatever is printed is rendered from
 the same data.  Exit codes: 0 on success (audit findings are findings, not
 errors), 1 for usage/configuration problems and for a float DP whose mass
-drifts past its tolerance, 2 when a resource budget is exceeded.  --threads
-of `simulate` and `control` (env STAIRWALK_THREADS is the fallback) is the
-number of forked worker processes that run Monte Carlo chunks; each worker
-receives its job through the pool's initializer.  It must be >= 1, defaults
-to every usable CPU, and is capped at the usable CPUs and the chunk count.
-Results are invariant to the setting.  `dp` has no --threads: when fork is
+drifts past its tolerance, 2 when a resource budget is exceeded, as when a
+walk is too long for its step tables to fit in memory; that is one
+`resource budget exceeded:` line on stderr.  --threads of `simulate` and
+`control` (env STAIRWALK_THREADS is the fallback) is the number of forked
+worker processes that run Monte Carlo chunks; each worker receives its job
+through the pool's initializer.  It must be >= 1, defaults to every usable
+CPU, and is capped at the usable CPUs and the chunk count.  Results are
+invariant to the setting.  `dp` has no --threads: when fork is
 available and more than one CPU is usable, it writes its law CSV through one
 forked writer process while it goes on stepping the DP, and its outputs do not
 depend on that.
@@ -360,10 +362,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceBudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
-        print("hint: use a scaled profile or raise the budget explicitly",
-              file=sys.stderr)
+    except (ResourceBudgetError, MemoryError) as exc:
+        # a walk too long for its step tables fails to allocate them at once
+        print(f"resource budget exceeded: {exc or 'out of memory'}", file=sys.stderr)
         return RESOURCE_EXIT
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -426,6 +426,38 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
+def test_walks_too_long_for_memory_are_one_resource_line(scaled_file, tmp_path, capsys):
+    """A walk whose step tables or histogram cannot be allocated ends as one
+    `resource budget exceeded:` line and exit 2, with no output file.  A
+    10**15-step table is larger than the address space, so it fails at
+    once; so does the DP's horizon budget."""
+    huge = 10**15
+    path = tmp_path / "long.json"
+    path.write_text(user_schedule(scaled_profile(), [771, huge], [8.0, 9.0], [146, 200])
+                    .to_json())
+    out = tmp_path / "out.json"
+    runs = [
+        ["control", "--mode", "constant", "--horizon", str(huge), "--reps", "1",
+         "--threads", "1", "--out", str(out)],
+        ["control", "--mode", "fast-growth", "--horizon", str(huge), "--reps", "1",
+         "--threads", "1", "--out", str(out)],
+        ["control", "--mode", "fast-growth", "--horizon", str(huge), "--reps", "4097",
+         "--threads", "2", "--out", str(out)],
+        ["simulate", "--schedule", str(path), "--phases", "2", "--reps", "1",
+         "--threads", "1", "--out", str(out), "--csv", str(tmp_path / "out.csv"),
+         "--traj-csv", str(tmp_path / "traj.csv")],
+        ["dp", "--schedule", scaled_file, "--horizon", "30000", "--threshold", "1",
+         "--json", str(out)],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource budget exceeded:"), argv
+        assert list(tmp_path.iterdir()) == [path], argv
+    assert multiprocessing.active_children() == []
+
+
 def test_reports_are_not_encoded_without_out(user_file, scaled_file, monkeypatch):
     def refuse(*_):
         raise AssertionError("dump_json called without --out")
