@@ -405,12 +405,13 @@ def test_golden_a8_walks():
             (300, 158), (158, 154), (154, 145)]
 
 
-def _reference_walk(schedule, phases, r, base_seed, early_stop, horizon=None):
+def _reference_walk(schedule, r, base_seed, early_stop, horizon=None):
     """One replication walked a step at a time in Python: stream r is
     `Generator(Philox(key=[r, base_seed]))`, and step n compares its draw
     with the `step_prob_tables` entries of the phase's a at the current s.
     Returns the positions at the phase ends and their outcomes, or with
     `horizon` the position after that many steps, with no phase events."""
+    phases = schedule.n_phases
     ends = [schedule.N(i) for i in range(1, phases + 1)]
     total = ends[-1] if horizon is None else horizon
     key = np.array([r, base_seed], dtype=np.uint64)
@@ -454,7 +455,7 @@ def test_walks_match_a_scalar_reference(schedule, base_seed, replications, early
     `final_positions` equal a step-at-a-time reference walk, on schedules
     that mix a = 8, a > 8 and a = inf phases."""
     phases = schedule.n_phases
-    want = [_reference_walk(schedule, phases, r, base_seed, early_stop)
+    want = [_reference_walk(schedule, r, base_seed, early_stop)
             for r in range(replications)]
     for r in sorted({0, replications - 1}):
         traj = run_replication(schedule, phases, replication_seed(base_seed, r),
@@ -466,7 +467,7 @@ def test_walks_match_a_scalar_reference(schedule, base_seed, replications, early
         assert [s for _, _, s in rows] == [s for cps, _ in want for s in cps]
     horizon = data.draw(st.integers(0, schedule.N(phases)), label="horizon")
     fin = final_positions(schedule, horizon, replications, base_seed, threads=1)
-    assert fin.tolist() == [_reference_walk(schedule, phases, r, base_seed, False, horizon)
+    assert fin.tolist() == [_reference_walk(schedule, r, base_seed, False, horizon)
                             for r in range(replications)]
 
 
