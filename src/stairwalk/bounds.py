@@ -38,6 +38,14 @@ _CHUNK = 1 << 20
 _FP_GUARD = 1e-12  # relative slack absorbing float rounding in the product
 
 
+def _two_over_power(base: float, e: int) -> float:
+    """2 / base^e, which is 0 where base^e overflows a float."""
+    try:
+        return 2.0 / base ** e
+    except OverflowError:
+        return 0.0
+
+
 def hoeffding_tail(m: int, t) -> Number:
     """min(1, 2 exp(-t^2 / 2m)): two-sided tail bound for m summands in [-1, 1].
 
@@ -62,14 +70,14 @@ def phase_success_bound(i: int, schedule) -> float:
     The bound is the conditional success probability floor of phase i given
     all earlier phase events.  When L_i^{2K} <= 2 the formula goes
     nonpositive and the bound is clamped to 0, so it is vacuous exactly
-    when it is 0.
+    when it is 0.  Where L_i^{2K} overflows a float the bound is 1.
     """
     if i < 2:
         raise ValueError("phase success bounds start at phase 2")
     L = schedule.length(i)
-    K = schedule.profile.hoeffding_K
-    denom = float(L) ** (2 * K)
-    return 0.0 if denom <= 2.0 else 1.0 - 2.0 / denom
+    if L < 2:   # for an integer L, L^{2K} <= 2 exactly when L < 2
+        return 0.0
+    return 1.0 - _two_over_power(float(L), 2 * schedule.profile.hoeffding_K)
 
 
 def true_mean_phase_bound(i: int, schedule) -> float:
@@ -124,7 +132,7 @@ def divergence_lower_bound(
     if K < 1:
         raise ValueError("K must be >= 1")
     base = M - 2
-    if base < 1 or float(base) ** (2 * K) <= 2.0:
+    if base < 2:   # for an integer base, base^{2K} <= 2 exactly when base < 2
         raise ValueError(
             f"(M-2)^(2K) must exceed 2 for all factors to be positive, got M={M}"
         )
@@ -136,12 +144,13 @@ def divergence_lower_bound(
     while lo_j < truncation:
         hi_j = min(truncation, lo_j + _CHUNK)
         j = np.arange(lo_j, hi_j, dtype=np.float64)
-        q = 2.0 / (base + 2.0 * j) ** (2 * K)
+        with np.errstate(over="ignore"):   # an inf power gives q = 0
+            q = 2.0 / (base + 2.0 * j) ** (2 * K)
         log_partial += float(np.log1p(-q).sum())
         lo_j = hi_j
 
     c = float(base + 2 * truncation)
-    q_next = 2.0 / c ** (2 * K)
+    q_next = _two_over_power(c, 2 * K)
     tail_lo_sum = c ** (1 - 2 * K) / (2 * K - 1)      # (1/2) * int_c^inf 2 u^-2K du
     tail_hi_sum = q_next + tail_lo_sum
     tail_hi = math.exp(-tail_lo_sum)

@@ -50,6 +50,7 @@ occupancy.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from collections import deque
@@ -360,6 +361,68 @@ def _check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
+# Cephes ndtri's rational approximations, highest degree first.  Each monic
+# Q table carries its leading 1.0: 1.0 * x is exact, so `_horner` gives
+# Cephes' p1evl bits
+_EXP_M2 = 0.13533528323661269189   # exp(-2)
+_S2PI = 2.50662827463100050242     # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2, 2.00260212380060660359e2,
+             -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1, 2.50464946208309415979e0,
+             -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1, 1.34204006088543189037e-2,
+             3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(coeffs: tuple[float, ...], x: float) -> float:
+    ans = 0.0
+    for c in coeffs:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile: Cephes `ndtri` (S. L. Moshier, Methods and
+    Programs for Mathematical Functions, 1989), ported operation for
+    operation, so its results are bit for bit those of the C routine.
+
+    A rational function of (y - 1/2)^2 on the centre, exp(-2) < y <
+    1 - exp(-2); in the tails, x = sqrt(-2 ln y') with y' the smaller of
+    y and 1 - y, and a correction rational in 1/x, one table pair for
+    x < 8 and another from there on.
+    """
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    lower = y <= 1.0 - _EXP_M2
+    if not lower:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(_NDTRI_P0, y2) / _horner(_NDTRI_Q0, y2))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _horner(p, z) / _horner(q, z)
+    return -x if lower else x
+
+
 def wilson_interval(
     successes: int, n: int, confidence: float = 0.99
 ) -> tuple[float, float]:
@@ -369,11 +432,7 @@ def wilson_interval(
         raise ValueError("need 0 <= successes <= n")
     if n == 0:
         return (0.0, 1.0)
-    from scipy.special import ndtri  # deferred: scipy is slow to import
-
-    # ndtri is scipy.stats.norm.ppf on (0, 1), bit for bit, without loading
-    # scipy.stats
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = _ndtri(0.5 + confidence / 2.0)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

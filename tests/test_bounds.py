@@ -1,5 +1,6 @@
 """Tail bounds and the certified divergence product."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,13 +11,17 @@ import pytest
 from stairwalk import (
     BoundValue,
     PhaseSchedule,
+    build_paper_schedule,
     divergence_lower_bound,
     hoeffding_tail,
     paper_profile,
     phase_success_bound,
     product_limit_check,
+    run_experiment,
+    scaled_profile,
     true_mean_phase_bound,
 )
+from stairwalk.bounds import _FP_GUARD
 
 
 def test_hoeffding_tail_basics():
@@ -148,6 +153,33 @@ def test_enclosure_domain_errors():
         divergence_lower_bound(1.0, 12, 1)
     with pytest.raises(ValueError):
         BoundValue(0.5, 0.4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [71, 72, 200])
+def test_overflowing_powers_are_zero_terms(K):
+    # at M = 146 the tail's c^{2K} overflows a float from K = 71 and the
+    # first factor's 144^{2K} from K = 72; an overflowing power is a term
+    # 2 / c^{2K} of 0, every factor rounds to 1, and nothing warns
+    profile = dataclasses.replace(paper_profile(), hoeffding_K=K)
+    sched = PhaseSchedule(mode="paper-literal", profile=profile, M=146, M0=5)
+    assert [phase_success_bound(i, sched) for i in (2, 3, 10**6)] == [1.0] * 3
+    bound = divergence_lower_bound(0.5, 146, K)
+    assert bound == BoundValue(lo=0.75 * (1.0 - _FP_GUARD), hi=0.75)
+    assert product_limit_check(0.5, K, [146, 10**4]).monotone_in_M
+    # the vacuous edge stays where it was: (M - 2)^{2K} = 1 for M = 3
+    with pytest.raises(ValueError):
+        divergence_lower_bound(0.5, 3, K)
+    sched = PhaseSchedule(mode="paper-literal", profile=profile, M=3, M0=5)
+    assert phase_success_bound(2, sched) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_reports_the_paper_bound_at_large_K():
+    # a scaled rule schedule at K = 100: L_i^{2K} overflows for every phase
+    schedule = build_paper_schedule(0.5, scaled_profile(hoeffding_K=100))
+    result = run_experiment(schedule, 3, 20, 0, threads=1)
+    assert [p.bound_paper for p in result.per_phase] == [None, 1.0, 1.0]
 
 
 def test_bound_monotone_in_M():

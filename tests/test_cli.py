@@ -194,6 +194,24 @@ def test_bound_command_single_and_sweep(tmp_path, capsys):
     assert len(lines[1].split(",")[1].replace("0.", "")) >= 16
 
 
+@pytest.mark.filterwarnings("error")
+def test_bound_and_simulate_where_the_power_overflows(tmp_path, capsys):
+    # at M = 146 the bound's powers overflow a float from K = 71, the first
+    # factor's from K = 72; an overflowing power is a zero term, not an error
+    out = tmp_path / "b.json"
+    for K in ("71", "72"):
+        assert main(["bound", "--sigma", "0.5", "--M", "146", "--K", K,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["hi"] == 0.75 and 0.75 - 1e-11 < doc["lo"] < 0.75
+    path = tmp_path / "k100.json"
+    path.write_text(build_paper_schedule(0.5, scaled_profile(hoeffding_K=100)).to_json())
+    assert main(["simulate", "--schedule", str(path), "--phases", "2", "--reps", "20",
+                 "--threads", "1", "--out", str(out)]) == 0
+    assert [p["bound_paper"] for p in json.loads(out.read_text())["per_phase"]] == [None, 1.0]
+    assert capsys.readouterr().err == ""
+
+
 def test_dp_command(scaled_file, tmp_path, capsys):
     law_csv = tmp_path / "law.csv"
     out_json = tmp_path / "event.json"

@@ -1,18 +1,23 @@
-"""Which commands load scipy: only the ones that evaluate with it.
+"""No command loads scipy.
 
-`scipy.stats` takes about a second and 70 MB to import, and nothing needs
-it: `find_M0` searches in integers.  Only `wilson_interval` needs scipy, and
-only `scipy.special`.  These checks keep a top-level import from quietly
-bringing the cost back to every command, or to a rule-schedule build.  They
-run in a fresh interpreter, since the test process has loaded scipy long
-before.
+scipy is not a runtime dependency: `find_M0` searches in integers and
+`wilson_interval` takes its z from a port of Cephes `ndtri`.  `scipy.special`
+alone costs about 0.2 s and 20 MB to import, and `scipy.stats` about a second
+and 70 MB.  These checks keep an import from quietly bringing either cost
+back to a command, `simulate` included, or to a rule-schedule build.  They
+run in a fresh interpreter, since the test process has loaded scipy, its
+oracle, long before.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import stairwalk
 from stairwalk import build_paper_schedule, scaled_profile
@@ -21,7 +26,7 @@ SCRIPT = r"""
 import json, sys
 
 def loaded():
-    return {m: m in sys.modules for m in ("scipy.stats", "scipy.special")}
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 schedule, profile, out = sys.argv[1:4]
 steps = {}
@@ -57,7 +62,7 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_is_imported_on_first_use(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     schedule = tmp_path / "scaled.json"
     schedule.write_text(build_paper_schedule(0.5, scaled_profile()).to_json())
     profile = tmp_path / "scaled_profile.json"
@@ -71,11 +76,32 @@ def test_scipy_is_imported_on_first_use(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     steps = json.loads(run.stdout.splitlines()[-1])
-    none = {"scipy.stats": False, "scipy.special": False}
-    assert steps["import"] == none
-    # audit, feasibility, dp, bound and control, and a rejected confidence
-    assert steps["commands"] == none
-    # a scaled rule schedule (M = 146, exact M0), from the library and the CLI
-    assert steps["build"] == none
-    assert steps["schedule"] == none
-    assert steps["simulate"] == {"scipy.stats": False, "scipy.special": True}
+    # import; audit, feasibility, dp, bound and control, and a rejected
+    # confidence; a scaled rule schedule (M = 146, exact M0), from the
+    # library and the CLI; simulate, whose Wilson intervals need a z
+    assert steps == {step: [] for step in ("import", "commands", "build", "schedule",
+                                           "simulate")}
+
+
+def test_src_imports_exactly_the_declared_dependencies():
+    # every third-party module that src/stairwalk imports, at any depth, is a
+    # runtime dependency in pyproject.toml, and every dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(stairwalk.__file__).resolve().parent
+    pyproject = package.parents[1] / "pyproject.toml"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "stairwalk":
+                    imported.setdefault(top, path.name)
+    assert set(imported) == declared, imported

@@ -517,19 +517,51 @@ def test_wilson_interval_golden_values(args, interval):
     assert wilson_interval(*args) == interval
 
 
+def _ndtri_branch(p):
+    # which side and which of Cephes ndtri's three branches p takes, by its
+    # own tests: the centre, or a tail with x = sqrt(-2 ln y) below 8 or not
+    upper = p > 1.0 - np.exp(-2.0)
+    y = 1.0 - p if upper else p
+    if y > np.exp(-2.0):
+        return "centre"
+    return ("upper" if upper else "lower", bool(np.sqrt(-2.0 * np.log(y)) < 8.0))
+
+
 def test_ndtri_is_norm_ppf():
-    # wilson_interval's z quantile: scipy.stats.norm.ppf is ndtri on (0, 1)
-    # and handles the ends and out-of-range values itself, so compare the
-    # two bit for bit there too
+    # wilson_interval's z quantile is `_ndtri`, a port of Cephes ndtri, so it
+    # must return scipy.special.ndtri's bits; scipy.stats.norm.ppf is ndtri
+    # on (0, 1) and handles the ends and out-of-range values itself, so
+    # compare the three bit for bit there too
     from scipy.special import ndtri
     from scipy.stats import norm
 
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)   # the branch edges, both sides
+    k = np.arange(1.0, 16.0, 0.1)           # 1 - 10**-k up to k = 15.9
+    edges = [e2, 1.0 - e2, e32, 1.0 - e32]
     q = np.concatenate([
         np.linspace(0.0, 1.0, 20001),
         [0.5, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 5e-324,
          0.995, 0.975, 0.5 + (1 - 1e-6) / 2, -0.5, 1.5, -np.inf, np.inf, np.nan],
+        [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)], edges,
+        10.0 ** -k, 1.0 - 10.0 ** -k, 10.0 ** -np.arange(20.0, 320.0, 10.0),
     ])
+    ours = np.array([simulator._ndtri(float(p)) for p in q])
+    np.testing.assert_array_equal(ours, ndtri(q))
     np.testing.assert_array_equal(ndtri(q), norm.ppf(q))
+    # bit for bit, the sign of zero included, wherever the value is finite
+    finite = np.isfinite(ours)
+    assert (ours[finite].view(np.int64) == ndtri(q[finite]).view(np.int64)).all()
+    interior = q[(q > 0.0) & (q < 1.0)]
+    assert {_ndtri_branch(p) for p in interior} == {
+        "centre", ("lower", True), ("lower", False), ("upper", True), ("upper", False)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_port_matches_scipy(p):
+    from scipy.special import ndtri
+
+    assert simulator._ndtri(p).hex() == float(ndtri(p)).hex()
 
 
 @pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, float("nan")])
