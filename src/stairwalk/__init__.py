@@ -9,135 +9,59 @@ constructs the phase schedules, verifies the supporting inequalities
 mechanically, computes certified lower bounds on the probability that every
 phase event holds, and measures the same quantities by exact dynamic
 programming and seeded Monte Carlo.
+
+Importing the package loads this file alone.  `_EXPORTS` names each public
+name's defining module, and the module-level `__getattr__` (PEP 562) imports
+that module on the first access to one of its names, so a program pays only
+for the layers it uses.  Names are looked up on the defining module at every
+access, not cached here, so a name rebound there is the one the package
+gives.
 """
 
-from .bounds import (
-    BoundValue,
-    divergence_lower_bound,
-    hoeffding_tail,
-    phase_success_bound,
-    product_limit_check,
-    true_mean_phase_bound,
-)
-from .core import (
-    ConstantsProfile,
-    OffStairError,
-    StairState,
-    acceptance_ratio,
-    backward_neighbor,
-    flatten,
-    forward_neighbor,
-    paper_profile,
-    scaled_profile,
-    unflatten,
-    weight,
-)
-from .domination import (
-    ZDistribution,
-    coupled_sample_many,
-    mean_z,
-    z_distribution,
-)
-from .kernel import (
-    DEFINITION_LITERAL,
-    LEMMA_CONSISTENT,
-    StepDistribution,
-    flat_step_distribution,
-    kernel_equivalence_check,
-    stair_step_distribution,
-)
-from .oracle import (
-    ResourceBudgetError,
-    TransientLaw,
-    event_probability,
-    law_at,
-    transient_law,
-)
-from .schedule import (
-    FeasibilityReport,
-    PhaseSchedule,
-    build_paper_schedule,
-    check_schedule_feasibility,
-    concentration_gain,
-    find_M,
-    find_M0,
-    log_growth_schedule,
-    steady_drift_schedule,
-    user_schedule,
-)
-from .simulator import (
-    ControlSummary,
-    ExperimentResult,
-    PhaseStats,
-    Trajectory,
-    final_positions,
-    replication_seed,
-    run_control,
-    run_coupled_check,
-    run_experiment,
-    run_replication,
-    wilson_interval,
-)
-from .verifier import AuditReport, ClaimResult, audit_all, audit_single
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BoundValue",
-    "ClaimResult",
-    "ConstantsProfile",
-    "ControlSummary",
-    "DEFINITION_LITERAL",
-    "ExperimentResult",
-    "FeasibilityReport",
-    "LEMMA_CONSISTENT",
-    "OffStairError",
-    "PhaseSchedule",
-    "PhaseStats",
-    "ResourceBudgetError",
-    "StairState",
-    "StepDistribution",
-    "Trajectory",
-    "TransientLaw",
-    "ZDistribution",
-    "acceptance_ratio",
-    "audit_all",
-    "audit_single",
-    "backward_neighbor",
-    "build_paper_schedule",
-    "check_schedule_feasibility",
-    "concentration_gain",
-    "coupled_sample_many",
-    "divergence_lower_bound",
-    "event_probability",
-    "final_positions",
-    "find_M",
-    "find_M0",
-    "flat_step_distribution",
-    "flatten",
-    "forward_neighbor",
-    "hoeffding_tail",
-    "kernel_equivalence_check",
-    "law_at",
-    "log_growth_schedule",
-    "mean_z",
-    "paper_profile",
-    "phase_success_bound",
-    "product_limit_check",
-    "replication_seed",
-    "run_control",
-    "run_coupled_check",
-    "run_experiment",
-    "run_replication",
-    "scaled_profile",
-    "stair_step_distribution",
-    "steady_drift_schedule",
-    "transient_law",
-    "true_mean_phase_bound",
-    "unflatten",
-    "user_schedule",
-    "weight",
-    "wilson_interval",
-    "z_distribution",
-]
+# public name -> defining module, grouped by module
+_EXPORTS = {
+    "bounds": (
+        "BoundValue", "divergence_lower_bound", "hoeffding_tail", "phase_success_bound",
+        "product_limit_check", "true_mean_phase_bound",
+    ),
+    "core": (
+        "ConstantsProfile", "OffStairError", "ResourceBudgetError", "StairState",
+        "acceptance_ratio", "backward_neighbor", "flatten", "forward_neighbor",
+        "paper_profile", "scaled_profile", "unflatten", "weight",
+    ),
+    "domination": ("ZDistribution", "coupled_sample_many", "mean_z", "z_distribution"),
+    "kernel": (
+        "DEFINITION_LITERAL", "LEMMA_CONSISTENT", "StepDistribution",
+        "flat_step_distribution", "kernel_equivalence_check", "stair_step_distribution",
+    ),
+    "oracle": ("TransientLaw", "event_probability", "law_at", "transient_law"),
+    "schedule": (
+        "FeasibilityReport", "PhaseSchedule", "build_paper_schedule",
+        "check_schedule_feasibility", "concentration_gain", "find_M", "find_M0",
+        "log_growth_schedule", "steady_drift_schedule", "user_schedule",
+    ),
+    "simulator": (
+        "ControlSummary", "ExperimentResult", "PhaseStats", "Trajectory",
+        "final_positions", "replication_seed", "run_control", "run_coupled_check",
+        "run_experiment", "run_replication", "wilson_interval",
+    ),
+    "verifier": ("AuditReport", "ClaimResult", "audit_all", "audit_single"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

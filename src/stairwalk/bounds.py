@@ -25,10 +25,10 @@ checker and the Monte Carlo comparisons use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .core import Number
@@ -51,15 +51,19 @@ def hoeffding_tail(m: int, t) -> Number:
 
     Accepts float or mpmath.mpf t; mpf input is evaluated in mpmath so the
     algebraic specialization at t = 2 sqrt(K m ln m) can be checked to full
-    precision.
+    precision.  mpmath is imported here, and only when the caller has loaded
+    it already, since no mpf can exist before that.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if isinstance(t, mpmath.mpf):
-        val = 2 * mpmath.exp(-(t * t) / (2 * m))
-        return val if val < 1 else mpmath.mpf(1)
+    if "mpmath" in sys.modules:
+        import mpmath
+
+        if isinstance(t, mpmath.mpf):
+            val = 2 * mpmath.exp(-(t * t) / (2 * m))
+            return val if val < 1 else mpmath.mpf(1)
     val = 2.0 * math.exp(-(float(t) ** 2) / (2.0 * m))
     return min(1.0, val)
 

@@ -20,6 +20,13 @@ invariant to the setting.  `dp` has no --threads: when fork is
 available and more than one CPU is usable, it writes its law CSV through one
 forked writer process while it goes on stepping the DP, and its outputs do not
 depend on that.
+
+Importing this module loads only it and `core`, which needs nothing beyond
+the standard library.  Each `cmd_*` handler imports the layers it runs when
+it is called, so `--help`, a usage error and each command load no layer, and
+no library, that they do not use: `bound` never loads the DP or the Monte
+Carlo engine, and no command but `simulate` and `control` (or `--metadata`,
+for the generator's name) loads the simulator.
 """
 
 from __future__ import annotations
@@ -29,25 +36,19 @@ import os
 import sys
 from collections import deque
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import divergence_lower_bound, product_limit_check
-from .core import PAPER_LITERAL, USER_DESIGNED, ConstantsProfile, paper_profile
-from .oracle import (
+from .core import (
+    PAPER_LITERAL,
+    USER_DESIGNED,
+    ConstantsProfile,
     ResourceBudgetError,
-    phase_ends,
-    tail_probability,
-    transient_law,
+    paper_profile,
 )
-from .schedule import PhaseSchedule, build_paper_schedule, check_schedule_feasibility
-from .serialize import dump_csv, dump_json, dump_law_csv, fmt_real
-from .simulator import (
-    GENERATOR_ID,
-    run_control,
-    run_experiment,
-    trajectory_csv_rows,
-)
-from .verifier import audit_all
+
+if TYPE_CHECKING:
+    from .schedule import PhaseSchedule
 
 USAGE_EXIT = 1
 RESOURCE_EXIT = 2
@@ -74,11 +75,15 @@ def _load_profile(path: str | None) -> ConstantsProfile:
 
 
 def _load_schedule(path: str) -> PhaseSchedule:
+    from .schedule import PhaseSchedule
+
     return PhaseSchedule.from_json(Path(path).read_text())
 
 
 def _attach_metadata(doc: dict, args, profile: ConstantsProfile | None) -> dict:
     if getattr(args, "metadata", False):
+        from .simulator import GENERATOR_ID
+
         doc = dict(doc)
         doc["run_metadata"] = {
             "version": __version__,
@@ -94,6 +99,9 @@ def _attach_metadata(doc: dict, args, profile: ConstantsProfile | None) -> dict:
 
 
 def cmd_schedule(args) -> int:
+    from .schedule import build_paper_schedule
+    from .serialize import dump_json
+
     profile = _load_profile(args.profile)
     if args.mode == USER_DESIGNED:
         if not args.phases:
@@ -117,6 +125,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .serialize import dump_json
+    from .verifier import audit_all
+
     sched = _load_schedule(args.schedule)
     report = audit_all(sched, i_max=args.i_max, x_depth=args.x_depth)
     print(f"{'claim':6s} {'verdict':12s} witness")
@@ -130,6 +141,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .serialize import dump_csv, dump_json
+    from .simulator import run_experiment, trajectory_csv_rows
+
     if args.traj_count < 0:  # checked before any output is written
         raise ValueError(f"--traj-count must be >= 0, got {args.traj_count}")
     sched = _load_schedule(args.schedule)
@@ -164,6 +178,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import divergence_lower_bound, product_limit_check
+    from .serialize import dump_csv, dump_json, fmt_real
+
     if len(args.M) == 1:
         bound = divergence_lower_bound(args.sigma, args.M[0], args.K)
         doc = {
@@ -198,6 +215,9 @@ def _keep_last(laws, kept: deque):
 
 
 def cmd_dp(args) -> int:
+    from .oracle import phase_ends, tail_probability, transient_law
+    from .serialize import dump_json, dump_law_csv, fmt_real
+
     sched = _load_schedule(args.schedule)
     if not args.out and args.threshold is None:
         raise ValueError("nothing to do: pass --out for a law dump and/or --threshold")
@@ -227,6 +247,9 @@ def cmd_dp(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    from .schedule import check_schedule_feasibility
+    from .serialize import dump_csv, dump_json
+
     sched = _load_schedule(args.schedule)
     report = check_schedule_feasibility(sched, i_max=args.i_max)
     if report.first_violation is None:
@@ -242,6 +265,9 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_control(args) -> int:
+    from .serialize import dump_json
+    from .simulator import run_control
+
     summary = run_control(
         mode=args.mode,
         horizon=args.horizon,

@@ -13,12 +13,18 @@ from the corner (1, 1):
 
 Arithmetic is duck-typed: exact values (`int`, `Fraction`) stay exact, floats
 stay floats.  Weights are kept unnormalized; only ratios are ever used.
+
+This module imports only the standard library.  It also holds what every
+layer and the CLI share about the process: `usable_cpus` and
+`ResourceBudgetError`, so that the CLI can catch the budget error, and the
+writers can count CPUs, without loading a numpy layer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -268,3 +274,20 @@ def scaled_profile(
         hoeffding_K=hoeffding_K,
         schedule_mode=schedule_mode,
     )
+
+
+# ======================================================================
+# Process resources
+# ======================================================================
+
+
+class ResourceBudgetError(RuntimeError):
+    """Requested horizon exceeds the configured memory/time budget."""
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -34,6 +34,7 @@ from typing import Container, Iterator
 
 import numpy as np
 
+from .core import ResourceBudgetError
 from .kernel import flat_step_distribution, step_prob_tables
 
 FLOAT = "float"
@@ -43,10 +44,6 @@ DEFAULT_HORIZON_BUDGET = 20_000
 RATIONAL_HORIZON_LIMIT = 64  # denominators grow multiplicatively past this
 
 _FLOAT_DEFECT_TOL = 1e-12
-
-
-class ResourceBudgetError(RuntimeError):
-    """Requested horizon exceeds the configured memory/time budget."""
 
 
 @dataclass

@@ -13,7 +13,9 @@ numpy scalars and arrays).
 `dump_law_csv` formats each law in a forked writer process when fork is
 available and more than one CPU is usable, so that the caller goes on
 stepping the DP while the previous law is formatted; otherwise the same
-per-law formatter runs in-process.  The protocol:
+per-law formatter runs in-process.  `multiprocessing` is imported only when
+more than one CPU is usable, so a one-CPU write never loads it.  The
+protocol:
 
 * the caller opens the file and the writer inherits it, so a bad path fails
   before the first law is drawn, and only the writer writes to it;
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import multiprocessing
 import signal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import usable_cpus
+from .core import usable_cpus
 
 _INF = float("inf")
 
@@ -178,6 +179,13 @@ def _law_text(n: int, mass: np.ndarray) -> str:
     return (f"{n},%d,%.17g\r\n" * len(support)) % tuple(flat)
 
 
+def _write_laws(fp, items) -> None:
+    """Write the header and the rows of each (n, masses) in `items`."""
+    fp.write(_LAW_HEADER)
+    for item in items:
+        fp.write(_law_text(*item))
+
+
 def _law_writer(fp, conn, parent_end) -> None:
     """The forked writer: write the header and each law from `conn` to `fp`
     until the end marker, then reply with the status."""
@@ -188,9 +196,7 @@ def _law_writer(fp, conn, parent_end) -> None:
         status = None
         try:
             with fp:
-                fp.write(_LAW_HEADER)
-                for item in laws:
-                    fp.write(_law_text(*item))
+                _write_laws(fp, laws)
         except OSError as exc:  # a write, or the flush on close
             status = (exc.errno, exc.strerror)
             for _ in laws:  # drain to the end marker, unless it came already
@@ -209,11 +215,12 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
     With fork and more than one usable CPU, a forked writer formats and
     writes while the caller goes on producing laws (see the module notes)."""
     with open(path, "w", newline="") as fp:
-        if usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            fp.write(_LAW_HEADER)
-            for n, mass in _selected_laws(laws, boundaries):
-                fp.write(_law_text(n, mass))
-            return
+        if usable_cpus() < 2:
+            return _write_laws(fp, _selected_laws(laws, boundaries))
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return _write_laws(fp, _selected_laws(laws, boundaries))
         ctx = multiprocessing.get_context("fork")
         ours, theirs = ctx.Pipe()
         writer = ctx.Process(target=_law_writer, args=(fp, theirs, ours))

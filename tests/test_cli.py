@@ -480,7 +480,7 @@ def test_reports_are_not_encoded_without_out(user_file, scaled_file, monkeypatch
     def refuse(*_):
         raise AssertionError("dump_json called without --out")
 
-    monkeypatch.setattr("stairwalk.cli.dump_json", refuse)
+    monkeypatch.setattr("stairwalk.serialize.dump_json", refuse)
     for argv in (["audit", "--schedule", scaled_file, "--i-max", "5", "--x-depth", "5"],
                  ["simulate", "--schedule", user_file, "--phases", "1", "--reps", "10"],
                  ["bound", "--sigma", "0.5", "--M", "146"],

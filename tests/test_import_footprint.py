@@ -1,12 +1,18 @@
-"""No command loads scipy.
+"""No command loads scipy, and each loads only the layers and libraries it
+runs.
 
 scipy is not a runtime dependency: `find_M0` searches in integers and
 `wilson_interval` takes its z from a port of Cephes `ndtri`.  `scipy.special`
 alone costs about 0.2 s and 20 MB to import, and `scipy.stats` about a second
 and 70 MB.  These checks keep an import from quietly bringing either cost
-back to a command, `simulate` included, or to a rule-schedule build.  They
-run in a fresh interpreter, since the test process has loaded scipy, its
-oracle, long before.
+back to a command, `simulate` included, or to a rule-schedule build.
+
+The same holds for what a command does not run.  `import stairwalk.cli`
+loads only `cli` and `core`, and no numpy: each handler imports its own
+layers.  mpmath is loaded only by a caller that passes an mpf, and
+`multiprocessing` and `concurrent.futures` only by a run that may fork, so
+one-thread Monte Carlo loads no pool.  The checks run in a fresh
+interpreter, since the test process has loaded all of these long before.
 """
 
 import ast
@@ -22,11 +28,13 @@ import pytest
 import stairwalk
 from stairwalk import build_paper_schedule, scaled_profile
 
+WATCHED = ("scipy", "numpy", "mpmath", "multiprocessing", "concurrent", "stairwalk")
+
 SCRIPT = r"""
 import json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.split(".")[0] in %r)
 
 schedule, profile, out = sys.argv[1:4]
 steps = {}
@@ -58,11 +66,21 @@ steps["schedule"] = loaded()
 assert main(["simulate", "--schedule", schedule, "--phases", "2", "--reps", "20",
              "--threads", "1", "--out", out]) == 0
 steps["simulate"] = loaded()
+
+# bounds was imported before mpmath, and still evaluates an mpf in mpmath
+import mpmath
+from stairwalk import hoeffding_tail
+tail = hoeffding_tail(100, mpmath.mpf(30))
+steps["mpf_tail"] = [type(tail).__name__, tail == 2 * mpmath.exp(mpmath.mpf(-9) / 2)]
 print(json.dumps(steps))
-"""
+""" % (WATCHED,)
 
 
-def test_no_command_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    """The watched modules loaded after each step of SCRIPT, in one fresh
+    interpreter."""
+    tmp_path = tmp_path_factory.mktemp("footprint")
     schedule = tmp_path / "scaled.json"
     schedule.write_text(build_paper_schedule(0.5, scaled_profile()).to_json())
     profile = tmp_path / "scaled_profile.json"
@@ -75,12 +93,35 @@ def test_no_command_loads_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    steps = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _of(modules, *packages):
+    return [m for m in modules if m.split(".")[0] in packages]
+
+
+def test_no_command_loads_scipy(steps):
     # import; audit, feasibility, dp, bound and control, and a rejected
     # confidence; a scaled rule schedule (M = 146, exact M0), from the
     # library and the CLI; simulate, whose Wilson intervals need a z
-    assert steps == {step: [] for step in ("import", "commands", "build", "schedule",
-                                           "simulate")}
+    for step in ("import", "commands", "build", "schedule", "simulate"):
+        assert _of(steps[step], "scipy") == [], step
+
+
+def test_importing_the_cli_loads_no_layer_or_library(steps):
+    assert steps["import"] == ["stairwalk", "stairwalk.cli", "stairwalk.core"]
+
+
+def test_commands_load_neither_mpmath_nor_a_pool(steps):
+    # audit, feasibility, dp, bound, and control and simulate at --threads 1;
+    # dp may fork its law writer, which needs multiprocessing but no pool
+    for step in ("commands", "build", "schedule", "simulate"):
+        assert _of(steps[step], "mpmath", "concurrent") == [], step
+    assert "numpy" in steps["commands"]
+
+
+def test_hoeffding_tail_takes_an_mpf_imported_after_the_package(steps):
+    assert steps["mpf_tail"] == ["mpf", True]
 
 
 def test_src_imports_exactly_the_declared_dependencies():

@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, statistics, controls, coupling."""
 
+import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
@@ -201,7 +203,7 @@ def test_pool_matches_serial(usable_cpus, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     sch = user_schedule(scaled_profile(), lengths=[30, 20, 20],
                         a_values=[8.0, 9.0, 10.0], thresholds=[12, 21, 29])
 
@@ -249,6 +251,17 @@ def test_growth_rule_below_8_is_rejected(threads, bad, usable_cpus):
 
 
 @needs_fork
+def test_workers_freeze_what_they_inherit(usable_cpus):
+    """A pool worker's collections skip the objects fork shared with it; the
+    caller's own collector is left as it was."""
+    usable_cpus(2)
+    frozen = simulator._run_chunks(lambda seeds: gc.get_freeze_count(), 2 * _CHUNK, SEED, 2)
+    assert len(frozen) == 2 and min(frozen) > 0
+    assert gc.get_freeze_count() == 0
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_worker_count_is_capped(usable_cpus, monkeypatch):
     """min(threads, usable CPUs, chunks) workers, no pool for one worker,
     and at most two chunks per worker in flight.  A stand-in pool runs each
@@ -279,7 +292,7 @@ def test_worker_count_is_capped(usable_cpus, monkeypatch):
 
             return Pending()
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(simulator, "_job", None)   # the stand-in installs it here
     sch = user_schedule(scaled_profile(), lengths=[3], a_values=[8.0], thresholds=[1])
     reps = 5 * _CHUNK + 1    # six chunks
