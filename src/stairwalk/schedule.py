@@ -23,15 +23,22 @@ one formula.  A float in either constant makes a_i a float, rounded once per
 phase by the closed form as written; those schedules, and user-designed
 ones, take each a_i from `a_of_phase`.
 
-`find_M` sizes M so the concentration gain delta*m - 2*sqrt(K m ln m)
-clears the overshoot for every m >= M-2; `find_M0` sizes phase 1 so a
-Binomial(m, 1/5) walk exceeds M with probability > 1 - sigma for every
-m >= M0.  Up to M = 10^4 it searches in stdlib integers, with the tail's
-exact recurrence in m: the tail is nondecreasing in m, so the first m that
-passes is M0 and no guard window is needed.  `check_schedule_feasibility`
-mechanizes the induction conditions (positive drift, sufficient gain,
-nonnegative worst-case height margin) phase by phase, so broken schedules
-are reported instead of silently simulated.
+`find_M` sizes M so the concentration gain g(m) = delta*m - 2*sqrt(K m ln m)
+clears the overshoot for every m >= M-2.  g is convex, so the m where it
+falls short form one interval, whose end `find_M` finds by bisection in
+`math`; a decision within 2^-40 of the gain's scale is left to numpy's
+expression of g, so M is the one a numpy scan of every m gives (the proof is
+in `find_M`).  `find_M0` sizes phase 1 so a Binomial(m, 1/5) walk exceeds M
+with probability > 1 - sigma for every m >= M0.  Up to M = 10^4 it searches
+in stdlib integers, with the tail's exact recurrence in m: the tail is
+nondecreasing in m, so the first m that passes is M0 and no guard window is
+needed.  So a paper-literal schedule is built, and written, without numpy
+unless one of `find_M`'s decisions falls in that band: only
+`concentration_gain` and `check_schedule_feasibility` import it.
+
+`check_schedule_feasibility` mechanizes the induction conditions (positive
+drift, sufficient gain, nonnegative worst-case height margin) phase by
+phase, so broken schedules are reported instead of silently simulated.
 """
 
 from __future__ import annotations
@@ -43,8 +50,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import (
     PAPER_LITERAL,
@@ -65,11 +70,15 @@ HOEFFDING_CONSERVATIVE = "hoeffding-conservative"
 # it the provably monotone conservative bound is the default
 _EXACT_M0_LIMIT = 10_000
 
-_SCAN_CHUNK = 1 << 20
+# a decision g(m) < h closer to h than this fraction of the gain's scale is
+# made by `concentration_gain` itself, in numpy (see `find_M`)
+_GAIN_BAND = 2.0**-40
 
 
 def concentration_gain(m, delta: float, K: int):
     """g(m) = delta*m - 2*sqrt(K*m*ln(m)); accepts scalars or numpy arrays."""
+    import numpy as np
+
     m = np.asarray(m, dtype=np.float64)
     out = delta * m - 2.0 * np.sqrt(K * m * np.log(m))
     return float(out) if out.ndim == 0 else out
@@ -83,27 +92,98 @@ def _gain_slope_ok(m: float, delta: float, K: int) -> bool:
 
 
 def find_M(profile: ConstantsProfile) -> int:
-    """Least M with concentration_gain(m) >= overshoot for all m >= M - 2."""
+    """Least M with concentration_gain(m) >= overshoot for all m >= M - 2.
+
+    With g = concentration_gain and h the overshoot, the answer is that of
+    a scan of g over every m below `hi`: 3 past the last m < hi with
+    g(m) < h, or 1 if there is none.  `hi` is the first power of two from 4
+    at which `_gain_slope_ok` holds and g >= h, so no m >= hi violates.
+    The scan's answer is found by bisection, in `math`:
+
+    * g is convex on [1, inf): for m > 1, d^2/dm^2 sqrt(m ln m) =
+      -((ln m)^2 + 1) / (4 (m ln m)^(3/2)) < 0.  So g falls up to the
+      root x of g' = 0 and rises after it, and its violators form one
+      interval.  x is where f(m) = sqrt(K)(ln m + 1)/sqrt(m ln m), the
+      quantity `_gain_slope_ok` compares with delta, crosses delta.
+    * c, the least m >= 2 at which `_gain_slope_ok` holds, is found by
+      bisection.  The test rounds f by less than 2^-48 of f, and
+      |d ln f / d ln m| = ((ln m)^2 + 1) / (2 ln m (ln m + 1)) >= 0.41, so
+      a wrong test moves c by at most 1 + 2^-46 x from x.  Hence g rises
+      from every m >= c + w and falls up to every m < c - w, with
+      w = 2 + floor(c / 2^40).
+    * Every decision g(m) < h is the scan's.  g is evaluated in the scan's
+      operation order, where only the logarithm can differ from numpy's,
+      by about an ulp; the math, numpy and exact values of g then lie
+      within 2^-49 of the scale S(m) = delta*m + 2 sqrt(K m ln m) of each
+      other.  Where |g - h| <= tau = 2^-40 S(hi) (`_GAIN_BAND`), that one
+      point is recomputed by `concentration_gain`.  Outside that band the
+      three values lie on one side of h, and on the upper side they exceed
+      h + 2^-49 S(hi), so no m with an exact g as large violates.
+    * From c + w, where g rises: at a violator, bisect up to hi for a
+      violator whose successor is not one; at a non-violator in the band,
+      step on, since rounding can put a violator past it; at one outside
+      the band, stop.  The last violator met is the scan's.
+    * With none from c + w on, step down from c + w - 1: the first
+      violator met is the scan's, and below c - w, where g only grows
+      downward, a non-violator outside the band ends the search.
+    """
     delta = float(profile.drift_floor)
     K = profile.hoeffding_K
     h = float(profile.overshoot)
 
+    def scale(m: int) -> float:
+        return delta * m + 2.0 * math.sqrt(K * m * math.log(m))
+
+    def violates(m: int, band: float) -> tuple[bool, bool]:
+        """(g(m) < h as the scan decides it, whether g(m) is within band of h)."""
+        x = float(m)
+        g = delta * x - 2.0 * math.sqrt(K * x * math.log(x))
+        if abs(g - h) > band:
+            return g < h, False
+        return concentration_gain(m, delta, K) < h, True
+
     # find a point beyond which g is >= h and provably nondecreasing
     hi = 4
-    while not (_gain_slope_ok(hi, delta, K) and concentration_gain(hi, delta, K) >= h):
+    while not (_gain_slope_ok(hi, delta, K)
+               and not violates(hi, _GAIN_BAND * scale(hi))[0]):
         hi *= 2
+    band = _GAIN_BAND * scale(hi)
 
-    # largest violator below it, scanned exhaustively
-    m_star = 0
-    lo = 1
-    while lo < hi:
-        up = min(hi, lo + _SCAN_CHUNK)
-        m = np.arange(lo, up, dtype=np.float64)
-        bad = np.nonzero(concentration_gain(m, delta, K) < h)[0]
-        if len(bad):
-            m_star = lo + int(bad[-1])
-        lo = up
-    return m_star + 3 if m_star else 1
+    lo, c = 1, hi  # f(1+) is infinite, and the test holds at hi
+    while c - lo > 1:
+        mid = (lo + c) // 2
+        if _gain_slope_ok(mid, delta, K):
+            c = mid
+        else:
+            lo = mid
+    w = 2 + (c >> 40)
+    start = min(c + w, hi)
+
+    last, m = 0, start
+    while m < hi:
+        bad, near = violates(m, band)
+        if bad:
+            lo, m = m, hi
+            while m - lo > 1:
+                mid = (lo + m) // 2
+                if violates(mid, band)[0]:
+                    lo = mid
+                else:
+                    m = mid
+            last = lo
+        elif near:
+            m += 1
+        else:
+            break
+    if last:
+        return last + 3
+    for m in range(start - 1, 0, -1):
+        bad, near = violates(m, band)
+        if bad:
+            return m + 3
+        if m < c - w and not near:
+            break
+    return 1
 
 
 def _log_lower_tail(m: int, M: int, p: float) -> float:
@@ -129,15 +209,34 @@ def _log_lower_tail(m: int, M: int, p: float) -> float:
     return log_mass + math.log(total)
 
 
+def _tail_split(lo: int, hi: int, m: int, a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the terms j in [lo, hi) of sum_j prod_{k=lo..j} p_k/q_k,
+    p_k = (m - k + 1) a and q_k = k b: P and Q are the products of the p_k
+    and q_k, and the sum is T / Q."""
+    if hi - lo == 1:
+        p = (m - lo + 1) * a
+        return p, lo * b, p
+    mid = (lo + hi) // 2
+    P1, Q1, T1 = _tail_split(lo, mid, m, a, b)
+    P2, Q2, T2 = _tail_split(mid, hi, m, a, b)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
 def _lower_tail(m: int, M: int, a: int, b: int) -> tuple[int, int]:
     """(q^m P(Bin(m, a/q) <= M), q^m P(Bin(m, a/q) = M)) as ints, q = a + b,
-    m >= M: the homogeneous Horner sum S_j = b S_{j-1} + C(m, j) a^j."""
-    s = t = 1  # t = C(m, j) a^j
-    for j in range(1, M + 1):
-        t = t * (m - j + 1) * a // j
-        s = s * b + t
+    m >= M.
+
+    The first is b^(m-M) S with S = sum_{j<=M} C(m, j) a^j b^(M-j).  The
+    term ratio C(m, j) a^j b^(M-j) / C(m, j-1) a^(j-1) b^(M-j+1) is
+    p_j/q_j = (m - j + 1) a / (j b), so S = b^M (1 + T/Q) over j = 1..M by
+    binary splitting (`_tail_split`), and since Q = M! b^M, S = b^M + T/M!
+    exactly.  Balanced products cost far less than the M-step Horner sum
+    when q is large (2^54 for a float floor of 0.2)."""
     rest = b ** (m - M)
-    return s * rest, t * rest
+    if M == 0:
+        return rest, rest
+    _, _, T = _tail_split(1, M + 1, m, a, b)
+    return (b**M + T // math.factorial(M)) * rest, math.comb(m, M) * a**M * rest
 
 
 def _locate_M0(sigma: Fraction, M: int, p: Fraction) -> int:
@@ -722,6 +821,8 @@ def check_schedule_feasibility(schedule: PhaseSchedule, i_max: int) -> Feasibili
     (P, Q) column and Z_i's integer triple by one int true division, which
     rounds as float(mean_z(i)) does; otherwise it is float(mean_z(i)).
     """
+    import numpy as np
+
     # deferred: domination builds on schedules
     from .domination import _c_b_ratio, _with_slack, mean_z
 

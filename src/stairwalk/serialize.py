@@ -8,7 +8,9 @@ encoded as "p/q" strings in both.
 reduced to plain JSON values, byte for byte, but walks the report once: exact
 dicts, lists and scalars are encoded as they are met, everything else is
 reduced first (`to_jsonable`, dataclass fields, "p/q" Fractions, tuples,
-numpy scalars and arrays).
+numpy scalars and arrays).  No numpy value can exist before numpy is
+imported, so the numpy types are tested for only once it is loaded, and only
+the law writer imports it: writing a schedule loads no numpy.
 
 `dump_law_csv` formats each law in a forked writer process when fork is
 available and more than one CPU is usable, so that the caller goes on
@@ -38,11 +40,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import signal
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-
-import numpy as np
 
 from .core import usable_cpus
 
@@ -53,9 +54,16 @@ def fmt_real(x) -> str:
     """A real as text with 17 significant digits (Fractions stay exact)."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (float, np.floating)):
+    np = _loaded_numpy()
+    if isinstance(x, float) or (np is not None and isinstance(x, np.floating)):
         return format(float(x), ".17g")
     return str(x)
+
+
+def _loaded_numpy():
+    """numpy if this process has imported it, else None: no numpy value can
+    exist before then, so a caller need not test for one."""
+    return sys.modules.get("numpy")
 
 
 def _encode_float(x) -> str:
@@ -127,15 +135,17 @@ def _encode_other(obj, indent: str) -> str:
         return _encode_dict(obj, indent)
     if isinstance(obj, (list, tuple)):
         return _encode_list(list(obj), indent)
-    if isinstance(obj, np.ndarray):
-        # list() raises for a 0-d array, whose tolist() is a scalar
-        return _encode_list(list(obj.tolist()), indent)
-    if isinstance(obj, np.integer):
-        return int.__repr__(int(obj))
-    if isinstance(obj, np.floating):
-        return _encode_float(float(obj))
-    if isinstance(obj, np.bool_):
-        return "true" if obj else "false"
+    np = _loaded_numpy()
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            # list() raises for a 0-d array, whose tolist() is a scalar
+            return _encode_list(list(obj.tolist()), indent)
+        if isinstance(obj, np.integer):
+            return int.__repr__(int(obj))
+        if isinstance(obj, np.floating):
+            return _encode_float(float(obj))
+        if isinstance(obj, np.bool_):
+            return "true" if obj else "false"
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, int):
@@ -165,6 +175,8 @@ _LAW_HEADER = "n,s,mass\r\n"
 
 def _selected_laws(laws, boundaries):
     """(n, float64 masses) of each law to write."""
+    import numpy as np
+
     for law in laws:
         if boundaries is None or law.n in boundaries:
             yield law.n, np.asarray(law.mass, dtype=np.float64)
@@ -172,6 +184,8 @@ def _selected_laws(laws, boundaries):
 
 def _law_text(n: int, mass: np.ndarray) -> str:
     """The CSV rows of one law: one `%` over its nonzero entries."""
+    import numpy as np
+
     support = np.flatnonzero(mass)
     flat = [None] * (2 * len(support))
     flat[0::2] = support.tolist()

@@ -9,9 +9,11 @@ back to a command, `simulate` included, or to a rule-schedule build.
 
 The same holds for what a command does not run.  `import stairwalk.cli`
 loads only `cli` and `core`, and no numpy: each handler imports its own
-layers.  mpmath is loaded only by a caller that passes an mpf, and
-`multiprocessing` and `concurrent.futures` only by a run that may fork, so
-one-thread Monte Carlo loads no pool.  The checks run in a fresh
+layers.  Building a rule schedule and writing it as JSON load no numpy
+either, from the library or from `stairwalk schedule`.  mpmath is loaded
+only by a caller that passes an mpf, and `multiprocessing` and
+`concurrent.futures` only by a run that may fork, so one-thread Monte Carlo
+loads no pool.  The checks run in a fresh
 interpreter, since the test process has loaded all of these long before.
 """
 
@@ -41,7 +43,13 @@ steps = {}
 import stairwalk, stairwalk.cli
 steps["import"] = loaded()
 
+from fractions import Fraction
 from stairwalk.cli import main
+stairwalk.build_paper_schedule(Fraction(1, 2)).to_json()
+stairwalk.build_paper_schedule(0.5, stairwalk.scaled_profile()).to_json()
+assert main(["schedule", "--sigma", "0.5", "--profile", profile, "--out", out]) == 0
+steps["rule_schedules"] = loaded()
+
 from stairwalk.simulator import wilson_interval
 for argv in (
     ["audit", "--schedule", schedule, "--i-max", "20", "--x-depth", "10"],
@@ -110,6 +118,12 @@ def test_no_command_loads_scipy(steps):
 
 def test_importing_the_cli_loads_no_layer_or_library(steps):
     assert steps["import"] == ["stairwalk", "stairwalk.cli", "stairwalk.core"]
+
+
+def test_building_and_writing_rule_schedules_loads_no_numpy(steps):
+    # the paper and scaled schedules built and written as JSON, and
+    # `stairwalk schedule --out`, before any command has loaded numpy
+    assert _of(steps["rule_schedules"], "numpy") == []
 
 
 def test_commands_load_neither_mpmath_nor_a_pool(steps):

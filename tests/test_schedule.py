@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stairwalk import (
     PhaseSchedule,
@@ -68,6 +68,86 @@ def test_find_M_paper_profile_magnitude():
     m = np.unique(np.concatenate([[M - 2, M - 1, M], np.linspace(M - 2, 10 * M, 200, dtype=np.int64)]))
     assert (concentration_gain(m, 0.01, 1) >= 4).all()
     assert concentration_gain(M - 3, 0.01, 1) < 4
+
+
+# every drawn profile has M below ~3000, so this oracle window holds it
+_M_WINDOW = 1 << 14
+
+
+def _gains(delta, K):
+    """concentration_gain's expression on every m in [1, _M_WINDOW)."""
+    m = np.arange(1, _M_WINDOW, dtype=np.float64)
+    return delta * m - 2.0 * np.sqrt(K * m * np.log(m))
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _gain_cases(draw):
+    """(delta, K, h): h drawn freely, just above the least gain (tangency,
+    where the violators are few and g is flat), or within a few ulps of the
+    gain at one m (a crossing, where one decision sets M)."""
+    K = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["free", "tangent", "crossing"]))
+    if mode == "tangent":
+        # min g > 0 needs delta^2 > 4K ln(m)/m, at most ~1.47 K for integers
+        delta = draw(st.floats(1.25 * math.sqrt(K), 3.0 * math.sqrt(K)))
+        h = _nudged(float(_gains(delta, K).min()), draw(st.integers(0, 4)))
+    else:
+        delta = draw(st.floats(0.2, 4.0))
+        if mode == "free":
+            h = draw(st.floats(1e-3, 50.0))
+        else:
+            g = float(_gains(delta, K)[draw(st.integers(1, 3000)) - 1])
+            h = _nudged(g, draw(st.integers(-3, 3)))
+    assume(h > 0)
+    return delta, K, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_gain_cases())
+# math.log(9170) and np.log(9170) differ by an ulp, and h is the scan's
+# g(9170): g in math falls below h, the scan's does not, and M is 9172
+@example(case=(0.1, 1, 338.50450019607877))
+@example(case=(0.25, 2, 1474.3838184054925))
+def test_find_M_matches_the_numpy_scan(case):
+    delta, K, h = case
+    assert find_M(_profile(delta, K, h)) == _brute_find_M(delta, K, h, _M_WINDOW)
+
+
+@pytest.mark.parametrize(
+    "delta,K,h",
+    [(0.5, 1, 4.0), (1.0, 1, 0.001), (0.4, 1, 4.0), (0.25, 2, 3.0),
+     (0.1, 1, 338.50450019607877), (1.5, 1, 0.25)],
+)
+def test_find_M_is_unchanged_when_numpy_makes_every_decision(monkeypatch, delta, K, h):
+    # an infinite band sends every g(m) < h through concentration_gain
+    profile = _profile(delta, K, h)
+    expected = find_M(profile)
+    calls = []
+    monkeypatch.setattr(schedule, "_GAIN_BAND", math.inf)
+    monkeypatch.setattr(schedule, "concentration_gain",
+                        lambda *a: calls.append(a[0]) or concentration_gain(*a))
+    assert find_M(profile) == expected
+    assert calls
+
+
+@pytest.mark.parametrize("dips,expected", [({145}, 148), ({145, 150}, 153), ({200}, 203)])
+def test_find_M_steps_past_rounding_inside_the_band(monkeypatch, dips, expected):
+    # inside the band, rounding can decide g(m) >= h at some m and g < h
+    # again further on; M must still follow the scan's last violator.  With
+    # an infinite band every m is inside it, so dips of g below h past the
+    # crossing (at 143 for this profile, M = 146) stand in for that rounding
+    def gain(m, delta, K):
+        return 0.0 if m in dips else concentration_gain(m, delta, K)
+
+    monkeypatch.setattr(schedule, "_GAIN_BAND", math.inf)
+    monkeypatch.setattr(schedule, "concentration_gain", gain)
+    assert find_M(_profile(0.4, 1, 4.0)) == expected
 
 
 def _brute_find_M0(sigma, M, m_hi=None, p=Fraction(1, 5)):
@@ -159,6 +239,29 @@ def test_exact_M0_walks_to_the_oracle_from_any_start(M, p, sigma, offset):
     # the locator only steers: from any start above M, backwards or
     # forwards, the exact recurrence reaches the same M0
     assert schedule._exact_M0(sigma, M, p, M + offset) == _brute_find_M0(sigma, M, p=p)
+
+
+def _horner_lower_tail(m, M, a, b):
+    """Oracle: the M-step Horner sum S_j = b S_{j-1} + C(m, j) a^j, times
+    b^(m-M), with the point mass C(m, M) a^M b^(m-M)."""
+    s = t = 1
+    for j in range(1, M + 1):
+        t = t * (m - j + 1) * a // j
+        s = s * b + t
+    rest = b ** (m - M)
+    return s * rest, t * rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(0, 300), extra=st.integers(0, 1500),
+       a=st.integers(1, 2**64), b=st.integers(1, 2**64))
+# the float floor 0.2 enters as a/q with q = 2^54
+@example(M=300, extra=1200, a=3602879701896397, b=14411518807585587)
+@example(M=0, extra=0, a=1, b=4)
+@example(M=7, extra=0, a=1, b=4)  # m = M: the whole law
+def test_lower_tail_matches_the_horner_sum(M, extra, a, b):
+    m = M + extra
+    assert schedule._lower_tail(m, M, a, b) == _horner_lower_tail(m, M, a, b)
 
 
 def test_find_M0_conservative():
