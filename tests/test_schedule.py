@@ -1,6 +1,7 @@
 """Schedule construction: M and M0 searches, rule values, feasibility."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -465,3 +466,28 @@ def test_steady_drift_template(cond_schedule):
     assert s.threshold(1) == 1020
     assert check_schedule_feasibility(s, 10).ok
     assert s.n_phases == 10
+
+
+# sha256 of `to_json()` for the two gain-schedule families: the conftest's
+# conditional-success schedule, the default three-phase one, and the
+# log-growth template at 300 phases and at 10^4 (acceptance's size).  Every
+# threshold is a sum of floor(G_i), so one gain rounded the other way moves
+# these bytes.
+GOLDEN_GAIN_SCHEDULES = {
+    "steady_10": "a16f06bf4c8f097161fb506fba3f5f500c9bbccc2d8455b0988acddb73c7a08e",
+    "steady_3": "9259d5b7111b007a313b664a077bb8614e97351ebfd4c70bfca1c39bad47f48e",
+    "log_300": "4340cfaed8cd660de7f963b156cbf0f6942361751f3735b77c5966e026d38dd1",
+    "log_10000": "d9924078a0bdb1a9f3099d16e05a65c5bac33197b10878d9c933f067024fbbb6",
+}
+
+
+def test_golden_gain_schedules():
+    built = {
+        "steady_10": steady_drift_schedule(10, sigma=0.01),
+        "steady_3": steady_drift_schedule(3),
+        "log_300": log_growth_schedule(300),
+        "log_10000": log_growth_schedule(10**4),
+    }
+    got = {name: hashlib.sha256(s.to_json().encode()).hexdigest()
+           for name, s in built.items()}
+    assert got == GOLDEN_GAIN_SCHEDULES
