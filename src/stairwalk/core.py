@@ -17,7 +17,10 @@ stay floats.  Weights are kept unnormalized; only ratios are ever used.
 This module imports only the standard library.  It also holds what every
 layer and the CLI share about the process: `usable_cpus` and
 `ResourceBudgetError`, so that the CLI can catch the budget error, and the
-writers can count CPUs, without loading a numpy layer.
+writers can count CPUs, without loading a numpy layer.  `_check_law`, which
+checks a three-point law's masses, lives here too, so that `domination`
+builds its Z_i law, and the gain schedules their drifts, without loading
+the numpy kernel.
 """
 
 from __future__ import annotations
@@ -115,6 +118,21 @@ def acceptance_ratio(frm: StairState, to: StairState) -> Fraction:
         raise ValueError(f"{to} is not adjacent to {frm} on the stair")
     w_to, w_frm = weight(to.y), weight(frm.y)
     return w_to / (w_to + w_frm)
+
+
+_SUM_TOL = 1e-15
+
+
+def _check_law(*parts: Number):
+    """Raise a ValueError unless the masses of a law lie in [0, 1] and sum,
+    in the order given, to 1: exactly if all are exact, else within _SUM_TOL."""
+    for p in parts:
+        if not 0 <= p <= 1:  # also rejects NaN
+            raise ValueError(f"component {p} outside [0, 1]")
+    total = sum(parts)
+    exact = all(isinstance(p, (int, Fraction)) for p in parts)
+    if (exact and total != 1) or (not exact and abs(total - 1) > _SUM_TOL):
+        raise ValueError(f"components sum to {total}, not 1")
 
 
 # ======================================================================

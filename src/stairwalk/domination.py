@@ -25,6 +25,12 @@ feasibility check call those two on the schedule's (P, Q) column directly,
 with no Fraction per phase.  `z_distribution` reads `_z_ratio`.
 `dominated_drift`, and so `mean_z`, reads it in exact arithmetic and takes
 b_i - c_i from `_c_b`'s float masses otherwise.
+
+Only `_margins` and `coupled_sample_many` work on arrays, and they import
+numpy and the kernel's array functions when called.  Everything else here,
+`ZDistribution` included (its law check is `core._check_law`), is stdlib
+only, so the gain schedules, which read `dominated_drift`, are built without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -32,12 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .core import Number, _check_law
 
-from .core import Number
-from .kernel import StepDistribution, _check_law, _inverse_cdf, flat_step_probs_at
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .kernel import StepDistribution
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,10 @@ def _margins(c, b, a, x: np.ndarray):
     Rows alternate (x diagonal, x sub-diagonal); the margins are c - p_down
     and p_up - b of the step law at flat positions 2(x-1) and 2x-3.  c, b
     and a are floats, or float arrays with one entry per height."""
+    import numpy as np
+
+    from .kernel import flat_step_probs_at
+
     def rows(v):  # one entry per row
         return np.repeat(v, 2) if np.ndim(v) else v
 
@@ -177,6 +189,10 @@ def coupled_sample_many(
 
     Marginals are exact and step >= zval for every u in [0, 1).
     """
+    import numpy as np
+
+    from .kernel import _inverse_cdf
+
     # CDF dominance at both atom boundaries; equivalent to the existence of
     # a pathwise-ordered coupling
     if not (z.c >= step_law.p_down and z.b <= step_law.p_up):

@@ -24,6 +24,10 @@ origin), and `flat_step_probs_on` is the one a-dependent expression on such
 a geometry.  `flat_step_probs_at(s, a)` composes the two; the simulator's
 rule segments build the geometry once per walk and evaluate the expression
 on its head at every step, with the same bits.
+
+`StepDistribution` checks its masses with `core._check_law`, which is
+imported here under the same name; it lives in `core` so that
+`domination`'s Z_i law can run it without loading this numpy module.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .core import (
     FlatPosition,
     Number,
     StairState,
+    _check_law,
     acceptance_ratio,
     backward_neighbor,
     flatten,
@@ -49,21 +54,6 @@ from .core import (
 LEMMA_CONSISTENT = "lemma-consistent"
 DEFINITION_LITERAL = "definition-literal"
 VARIANTS = (LEMMA_CONSISTENT, DEFINITION_LITERAL)
-
-_SUM_TOL = 1e-15
-
-
-def _check_law(*parts: Number):
-    """Raise a ValueError unless the masses of a law lie in [0, 1] and sum,
-    in the order given, to 1: exactly if all are exact, else within _SUM_TOL."""
-    for p in parts:
-        if not 0 <= p <= 1:  # also rejects NaN
-            raise ValueError(f"component {p} outside [0, 1]")
-    total = sum(parts)
-    exact = all(isinstance(p, (int, Fraction)) for p in parts)
-    if (exact and total != 1) or (not exact and abs(total - 1) > _SUM_TOL):
-        raise ValueError(f"components sum to {total}, not 1")
-
 
 @dataclass(frozen=True)
 class StepDistribution:

@@ -32,8 +32,14 @@ in `find_M`).  `find_M0` sizes phase 1 so a Binomial(m, 1/5) walk exceeds M
 with probability > 1 - sigma for every m >= M0.  Up to M = 10^4 it searches
 in stdlib integers, with the tail's exact recurrence in m: the tail is
 nondecreasing in m, so the first m that passes is M0 and no guard window is
-needed.  So a paper-literal schedule is built, and written, without numpy
-unless one of `find_M`'s decisions falls in that band: only
+needed.
+
+The gain schedules (`steady_drift_schedule`, `log_growth_schedule`) give
+phase i the threshold gain floor(G_i) of its concentration gain.
+`_gain_floor` takes it in `math`, with the same band: `_gain_near`, which
+evaluates g for both, leaves a gain within 2^-40 of its scale of an integer
+to `concentration_gain`.  So every schedule family is built, and written,
+without numpy unless a decision falls in that band: only
 `concentration_gain` and `check_schedule_feasibility` import it.
 
 `check_schedule_feasibility` mechanizes the induction conditions (positive
@@ -47,6 +53,7 @@ import bisect
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -70,8 +77,9 @@ HOEFFDING_CONSERVATIVE = "hoeffding-conservative"
 # it the provably monotone conservative bound is the default
 _EXACT_M0_LIMIT = 10_000
 
-# a decision g(m) < h closer to h than this fraction of the gain's scale is
-# made by `concentration_gain` itself, in numpy (see `find_M`)
+# a decision g(m) < h closer to h, or a floor(g(m)) with g(m) closer to an
+# integer, than this fraction of the gain's scale is made by
+# `concentration_gain` itself, in numpy (see `find_M` and `_gain_near`)
 _GAIN_BAND = 2.0**-40
 
 
@@ -82,6 +90,38 @@ def concentration_gain(m, delta: float, K: int):
     m = np.asarray(m, dtype=np.float64)
     out = delta * m - 2.0 * np.sqrt(K * m * np.log(m))
     return float(out) if out.ndim == 0 else out
+
+
+def _gain_scale(m: int, delta: float, K: int) -> float:
+    """S(m) = |delta| m + 2 sqrt(K m ln m), the scale against which a band
+    around the concentration gain g(m) is measured."""
+    return abs(delta) * m + 2.0 * math.sqrt(K * m * math.log(m))
+
+
+def _gain_near(m: int, delta: float, K: int, mark: float | None,
+               band: float) -> tuple[float, bool]:
+    """(g(m), whether g(m) lies within band of mark), where mark is the
+    integer nearest g(m) when None.
+
+    g is evaluated in `math`, in `concentration_gain`'s operation order, so
+    only the logarithm can differ from numpy's, by about an ulp, and the two
+    values lie within 2^-49 S(m) of each other (see `find_M`).  So outside
+    a band of 2^-40 S (`_GAIN_BAND`) around the mark they lie on the same
+    side of it; inside, g is `concentration_gain`'s own value."""
+    x = float(m)
+    g = delta * x - 2.0 * math.sqrt(K * x * math.log(x))
+    if abs(g - (round(g) if mark is None else mark)) > band:
+        return g, False
+    return concentration_gain(m, delta, K), True
+
+
+def _gain_floor(m: int, delta: float, K: int) -> int:
+    """floor(concentration_gain(m, delta, K)), in `math` unless g(m) lies
+    within `_GAIN_BAND` of an integer: floor(g) changes only across an
+    integer, and outside that band the math and numpy gains lie between the
+    same two integers."""
+    band = _GAIN_BAND * _gain_scale(m, delta, K)
+    return math.floor(_gain_near(m, delta, K, None, band)[0])
 
 
 def _gain_slope_ok(m: float, delta: float, K: int) -> bool:
@@ -111,11 +151,11 @@ def find_M(profile: ConstantsProfile) -> int:
       a wrong test moves c by at most 1 + 2^-46 x from x.  Hence g rises
       from every m >= c + w and falls up to every m < c - w, with
       w = 2 + floor(c / 2^40).
-    * Every decision g(m) < h is the scan's.  g is evaluated in the scan's
-      operation order, where only the logarithm can differ from numpy's,
-      by about an ulp; the math, numpy and exact values of g then lie
-      within 2^-49 of the scale S(m) = delta*m + 2 sqrt(K m ln m) of each
-      other.  Where |g - h| <= tau = 2^-40 S(hi) (`_GAIN_BAND`), that one
+    * Every decision g(m) < h is the scan's.  `_gain_near` evaluates g in
+      the scan's operation order, where only the logarithm can differ from
+      numpy's, by about an ulp; the math, numpy and exact values of g then
+      lie within 2^-49 of the scale S(m) = delta*m + 2 sqrt(K m ln m) of
+      each other.  Where |g - h| <= tau = 2^-40 S(hi) (`_GAIN_BAND`), that one
       point is recomputed by `concentration_gain`.  Outside that band the
       three values lie on one side of h, and on the upper side they exceed
       h + 2^-49 S(hi), so no m with an exact g as large violates.
@@ -131,23 +171,17 @@ def find_M(profile: ConstantsProfile) -> int:
     K = profile.hoeffding_K
     h = float(profile.overshoot)
 
-    def scale(m: int) -> float:
-        return delta * m + 2.0 * math.sqrt(K * m * math.log(m))
-
     def violates(m: int, band: float) -> tuple[bool, bool]:
         """(g(m) < h as the scan decides it, whether g(m) is within band of h)."""
-        x = float(m)
-        g = delta * x - 2.0 * math.sqrt(K * x * math.log(x))
-        if abs(g - h) > band:
-            return g < h, False
-        return concentration_gain(m, delta, K) < h, True
+        g, near = _gain_near(m, delta, K, h, band)
+        return g < h, near
 
     # find a point beyond which g is >= h and provably nondecreasing
     hi = 4
     while not (_gain_slope_ok(hi, delta, K)
-               and not violates(hi, _GAIN_BAND * scale(hi))[0]):
+               and not violates(hi, _GAIN_BAND * _gain_scale(hi, delta, K))[0]):
         hi *= 2
-    band = _GAIN_BAND * scale(hi)
+    band = _GAIN_BAND * _gain_scale(hi, delta, K)
 
     lo, c = 1, hi  # f(1+) is infinite, and the test holds at hi
     while c - lo > 1:
@@ -669,7 +703,7 @@ def _gain_schedule(
 
     eps, K = float(profile.slack), profile.hoeffding_K
     gains = [
-        math.floor(concentration_gain(L, dominated_drift(i, a, eps), K))
+        _gain_floor(L, dominated_drift(i, a, eps), K)
         for i, (L, a) in enumerate(zip(lengths, a_values), start=2)
     ]
     t1 = t1_rule(gains)
@@ -707,6 +741,10 @@ def log_growth_schedule(
     """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
+    if not math.isfinite(length_scale):
+        raise ValueError(f"length_scale must be finite, got {length_scale}")
+    if t1 is not None and not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1}")
     profile = profile if profile is not None else scaled_profile(slack=1e-4)
     phases = range(2, i_max + 1)
     lengths = [max(1, int(round(length_scale * i**3))) for i in phases]
@@ -745,8 +783,14 @@ def steady_drift_schedule(
     """
     if n_phases < 2:
         raise ValueError("n_phases must be >= 2")
-    if not a_start >= 8:
-        raise ValueError("a_start must be >= 8")
+    if not (isinstance(length, numbers.Integral) and length >= 1):
+        raise ValueError(f"length must be an integer >= 1, got {length!r}")
+    if not 8 <= a_start < math.inf:
+        raise ValueError(f"a_start must be finite and >= 8, got {a_start}")
+    if not 0 <= a_step < math.inf:
+        raise ValueError(f"a_step must be finite and >= 0, got {a_step}")
+    if t1 is not None and not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1}")
     profile = profile if profile is not None else scaled_profile()
     t1 = length + 20 if t1 is None else t1
     return _gain_schedule(

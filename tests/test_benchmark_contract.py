@@ -4,9 +4,11 @@
 hold, and `perfbench/run.py --trace 1` derives them from spans that it
 records around stairwalk functions, by name.  When a change stops a
 workload from calling a traced function, its metric drops out of the last
-line and the run is malformed, although it still exits 0.  This runs the
-shortest workload once, traced (about 6 s), and checks that line.  The run
-writes only under `perfbench/out/`, which git ignores.
+line and the run is malformed, although it still exits 0.  A change to
+which layers a workload loads, or when, can do the same, since the tracer
+patches the names bound at the moment it is installed.  So this runs each
+workload once, traced (about 6, 11 and 6 s), and checks that line.  The
+runs write only under `perfbench/out/`, which git ignores.
 """
 
 import json
@@ -17,11 +19,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_mc_short_paths_reports_every_declared_layer_metric():
+def _check_traced_run(workload):
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {metric["name"] for metric in contract["per_layer"]}
     run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "mc-short-paths",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--trace", "1", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -29,3 +31,15 @@ def test_traced_mc_short_paths_reports_every_declared_layer_metric():
     last = json.loads(run.stdout.splitlines()[-1])
     assert last["correct"] is True, last
     assert set(last["metrics"]) == declared
+
+
+def test_traced_mc_short_paths_reports_every_declared_layer_metric():
+    _check_traced_run("mc-short-paths")
+
+
+def test_traced_mc_long_paths_reports_every_declared_layer_metric():
+    _check_traced_run("mc-long-paths")
+
+
+def test_traced_certify_reports_every_declared_layer_metric():
+    _check_traced_run("certify")

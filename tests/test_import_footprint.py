@@ -10,7 +10,9 @@ back to a command, `simulate` included, or to a rule-schedule build.
 The same holds for what a command does not run.  `import stairwalk.cli`
 loads only `cli` and `core`, and no numpy: each handler imports its own
 layers.  Building a rule schedule and writing it as JSON load no numpy
-either, from the library or from `stairwalk schedule`.  mpmath is loaded
+either, from the library or from `stairwalk schedule`, and nor do the two
+gain-schedule families, `steady_drift_schedule` and `log_growth_schedule`,
+which reach `domination` but not the numpy kernel.  mpmath is loaded
 only by a caller that passes an mpf, and `multiprocessing` and
 `concurrent.futures` only by a run that may fork, so one-thread Monte Carlo
 loads no pool.  The checks run in a fresh
@@ -42,6 +44,8 @@ schedule, profile, out = sys.argv[1:4]
 steps = {}
 import stairwalk, stairwalk.cli
 steps["import"] = loaded()
+import stairwalk.domination
+steps["domination"] = loaded()
 
 from fractions import Fraction
 from stairwalk.cli import main
@@ -49,6 +53,10 @@ stairwalk.build_paper_schedule(Fraction(1, 2)).to_json()
 stairwalk.build_paper_schedule(0.5, stairwalk.scaled_profile()).to_json()
 assert main(["schedule", "--sigma", "0.5", "--profile", profile, "--out", out]) == 0
 steps["rule_schedules"] = loaded()
+
+stairwalk.steady_drift_schedule(10, sigma=0.01).to_json()
+stairwalk.log_growth_schedule(50).to_json()
+steps["gain_schedules"] = loaded()
 
 from stairwalk.simulator import wilson_interval
 for argv in (
@@ -124,6 +132,19 @@ def test_building_and_writing_rule_schedules_loads_no_numpy(steps):
     # the paper and scaled schedules built and written as JSON, and
     # `stairwalk schedule --out`, before any command has loaded numpy
     assert _of(steps["rule_schedules"], "numpy") == []
+
+
+def test_importing_domination_loads_neither_numpy_nor_the_kernel(steps):
+    assert steps["domination"] == sorted(steps["import"] + ["stairwalk.domination"])
+
+
+def test_building_and_writing_gain_schedules_loads_no_numpy(steps):
+    # steady_drift_schedule(10, sigma=0.01), with its exact-binomial phase 1,
+    # and log_growth_schedule(50), each built and written as JSON
+    loaded = steps["gain_schedules"]
+    assert "stairwalk.domination" in loaded
+    assert _of(loaded, "numpy") == []
+    assert "stairwalk.kernel" not in loaded
 
 
 def test_commands_load_neither_mpmath_nor_a_pool(steps):

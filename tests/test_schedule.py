@@ -4,11 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from stairwalk import (
     PhaseSchedule,
@@ -458,6 +459,76 @@ def test_log_growth_template():
     g = concentration_gain(sched.length(i), drift, 1)
     assert sched.required_gain(i) == math.floor(g)
     assert drift == pytest.approx(report.phase(i).drift)
+
+
+# m below 2*10^5 at which math.log(m) and numpy 2.4's log differ by an ulp;
+# other m are rare enough that random draws alone seldom meet one
+_LOG_ULP_APART = (9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674)
+
+
+@st.composite
+def _floor_cases(draw):
+    """(L, delta, K): delta drawn freely, or placed so that the gain lies
+    within a few ulps of an integer n, where floor(g) turns on the last bit."""
+    L = draw(st.one_of(st.integers(1, 10**7), st.sampled_from(_LOG_ULP_APART)))
+    K = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return L, draw(st.floats(-1.0, 1.0)), K
+    x = float(L)
+    n = draw(st.integers(-L, L))
+    delta = (n + 2.0 * math.sqrt(K * x * math.log(x))) / x
+    return L, _nudged(delta, draw(st.integers(-4, 4))), K
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(case=_floor_cases())
+# math.log(9170) and np.log(9170) differ by an ulp: at this delta the gain in
+# math is 6.999999999999886 and numpy's is 7.0, so a floor taken in math
+# alone would give 6
+@example(case=(9170, 0.06384901851733056, 1))
+@example(case=(1, 1.0, 1))      # ln 1 = 0: g = delta, an integer
+@example(case=(1, -0.0, 1))
+def test_gain_floor_is_the_numpy_floor(case):
+    L, delta, K = case
+    assert schedule._gain_floor(L, delta, K) == math.floor(concentration_gain(L, delta, K))
+
+
+def test_gain_schedules_are_unchanged_when_numpy_makes_every_decision(monkeypatch):
+    # an infinite band sends every gain through concentration_gain
+    built = {"steady": lambda: steady_drift_schedule(10, sigma=0.01),
+             "log": lambda: log_growth_schedule(300)}
+    expected = {name: build().to_json() for name, build in built.items()}
+    calls = []
+    monkeypatch.setattr(schedule, "_GAIN_BAND", math.inf)
+    monkeypatch.setattr(schedule, "concentration_gain",
+                        lambda *a: calls.append(a[0]) or concentration_gain(*a))
+    assert {name: build().to_json() for name, build in built.items()} == expected
+    assert len(calls) == 9 + 299
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: steady_drift_schedule(4, length=0), "length"),
+    (lambda: steady_drift_schedule(4, length=-5), "length"),
+    (lambda: steady_drift_schedule(4, length=math.nan), "length"),
+    # a fractional length would size the gains at 1000.5 but run 1000 steps
+    (lambda: steady_drift_schedule(4, length=1000.5), "length"),
+    (lambda: steady_drift_schedule(4, a_start=math.inf), "a_start"),
+    (lambda: steady_drift_schedule(4, a_step=math.nan), "a_step"),
+    (lambda: steady_drift_schedule(4, a_step=math.inf), "a_step"),
+    (lambda: steady_drift_schedule(4, a_step=-0.5), "a_step"),
+    (lambda: steady_drift_schedule(4, t1=math.nan), "t1"),
+    (lambda: log_growth_schedule(4, length_scale=math.nan), "length_scale"),
+    (lambda: log_growth_schedule(4, length_scale=math.inf), "length_scale"),
+    (lambda: log_growth_schedule(4, t1=math.nan), "t1"),
+])
+def test_gain_schedule_builders_reject_bad_inputs_up_front(build, name):
+    # each is a ValueError naming its parameter, raised before any gain is
+    # taken, so no numpy or math warning or error comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            build()
 
 
 def test_steady_drift_template(cond_schedule):
