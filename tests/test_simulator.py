@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
@@ -191,10 +192,39 @@ def test_final_positions_thread_invariant(scaled_schedule):
     np.testing.assert_array_equal(a, b)
 
 
+# sha256 of `_pooled_outputs(reps, 1)`, recorded before the pool kept its
+# workers: three chunks with 5 or 1 replications in the last, and 4500
+# replications (one full chunk and 404)
+POOLED_DIGESTS = {
+    POOLED_REPS: "7ac822ae0f5514aab5817f2ecaeaa9064d6f16a5d8b3e9c9c7b9f6f80a2db3de",
+    2 * _CHUNK + 1: "83200cf3667f608d8df514a1bdbb7d0a8e58a12345c0160ef2db8fc29d9044c8",
+    4500: "e8c1ee2865e4d2159246eb4c754a4660c4e6c5913f6eedc237fc91ec4679b9b1",
+}
+
+
+def _pooled_outputs(reps, threads):
+    """Every entry point that runs chunks, as one byte string: the
+    experiment with and without early stop, both controls (the constant one
+    at a = 8, where no step goes down, and at 9; fast-growth under its
+    default rule and a custom one), the coupling check, and final positions."""
+    sch = user_schedule(scaled_profile(), lengths=[30, 20, 20],
+                        a_values=[8.0, 9.0, 10.0], thresholds=[12, 21, 29])
+    docs = [run_experiment(sch, 3, reps, SEED, early_stop=e, threads=threads)
+            for e in (True, False)]
+    docs += [run_control("constant", 40, reps, SEED, a=a, threads=threads) for a in (8.0, 9.0)]
+    docs += [run_control("fast-growth", 40, reps, SEED, threads=threads),
+             run_control("fast-growth", 40, reps, SEED, growth=lambda n: 8.0 + n / 3,
+                         threads=threads),
+             run_coupled_check(sch, 3, reps, SEED, threads=threads)]
+    text = json.dumps([d.to_jsonable() for d in docs]).encode()
+    return text + final_positions(sch, 55, reps, SEED, threads=threads).tobytes()
+
+
 @needs_fork
 def test_pool_matches_serial(usable_cpus, monkeypatch):
-    """Three chunks on two forked workers give the same bytes as one
-    in-process loop, for every entry point that runs chunks."""
+    """Chunk counts that two forked workers cannot split evenly give the
+    same bytes as one in-process loop, for every entry point that runs
+    chunks, and those bytes are the recorded ones."""
     usable_cpus(2)
     pools = []
 
@@ -204,22 +234,13 @@ def test_pool_matches_serial(usable_cpus, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    sch = user_schedule(scaled_profile(), lengths=[30, 20, 20],
-                        a_values=[8.0, 9.0, 10.0], thresholds=[12, 21, 29])
-
-    def outputs(threads):
-        docs = [run_experiment(sch, 3, POOLED_REPS, SEED, early_stop=e, threads=threads)
-                for e in (True, False)]
-        docs += [run_control("constant", 40, POOLED_REPS, SEED, a=9.0, threads=threads),
-                 run_control("fast-growth", 40, POOLED_REPS, SEED, threads=threads),
-                 run_coupled_check(sch, 3, POOLED_REPS, SEED, threads=threads)]
-        text = json.dumps([d.to_jsonable() for d in docs]).encode()
-        return text, final_positions(sch, 55, POOLED_REPS, SEED, threads=threads).tobytes()
-
-    serial = outputs(1)
-    assert pools == []
-    assert outputs(2) == serial
-    assert pools == [2] * 6
+    for reps, digest in POOLED_DIGESTS.items():
+        pools.clear()
+        serial = _pooled_outputs(reps, 1)
+        assert pools == []
+        assert _pooled_outputs(reps, 2) == serial, reps
+        assert pools == [2] * 8
+        assert hashlib.sha256(serial).hexdigest() == digest, reps
     assert multiprocessing.active_children() == []
 
 
