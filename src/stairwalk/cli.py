@@ -13,13 +13,13 @@ drifts past its tolerance, 2 when a resource budget is exceeded, as when a
 walk is too long for its step tables to fit in memory; that is one
 `resource budget exceeded:` line on stderr.  --threads of `simulate` and
 `control` (env STAIRWALK_THREADS is the fallback) is the number of forked
-worker processes that run Monte Carlo chunks; each worker receives its job
-through the pool's initializer.  It must be >= 1, defaults to every usable
-CPU, and is capped at the usable CPUs and the chunk count.  Results are
-invariant to the setting.  `dp` has no --threads: when fork is
-available and more than one CPU is usable, it writes its law CSV through one
-forked writer process while it goes on stepping the DP, and its outputs do not
-depend on that.
+worker processes that run Monte Carlo chunks; the simulator keeps them for
+the life of the process, so a one-shot command forks them once.  It must be
+an integer >= 1, defaults to every usable CPU, and is capped at the usable
+CPUs and the chunk count.  Results are invariant to the setting.  `dp` has
+no --threads: when fork is available and more than one CPU is usable, it
+writes its law CSV through one forked writer process while it goes on
+stepping the DP, and its outputs do not depend on that.
 
 Importing this module loads only it and `core`, which needs nothing beyond
 the standard library.  Each `cmd_*` handler imports the layers it runs when
@@ -65,7 +65,12 @@ def _threads(args) -> int | None:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("STAIRWALK_THREADS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"threads (STAIRWALK_THREADS) must be an integer, got {env!r}") from None
 
 
 def _load_profile(path: str | None) -> ConstantsProfile:

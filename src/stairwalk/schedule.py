@@ -54,6 +54,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -724,6 +725,12 @@ def _gain_schedule(
     )
 
 
+def _plain_int(x):
+    """x, with an integer of any integral type (a numpy one, say) made a
+    Python int, which JSON can encode."""
+    return operator.index(x) if isinstance(x, numbers.Integral) else x
+
+
 def log_growth_schedule(
     i_max: int,
     profile: ConstantsProfile | None = None,
@@ -745,6 +752,7 @@ def log_growth_schedule(
         raise ValueError(f"length_scale must be finite, got {length_scale}")
     if t1 is not None and not math.isfinite(t1):
         raise ValueError(f"t1 must be finite, got {t1}")
+    t1 = _plain_int(t1)
     profile = profile if profile is not None else scaled_profile(slack=1e-4)
     phases = range(2, i_max + 1)
     lengths = [max(1, int(round(length_scale * i**3))) for i in phases]
@@ -792,7 +800,8 @@ def steady_drift_schedule(
     if t1 is not None and not math.isfinite(t1):
         raise ValueError(f"t1 must be finite, got {t1}")
     profile = profile if profile is not None else scaled_profile()
-    t1 = length + 20 if t1 is None else t1
+    length = operator.index(length)
+    t1 = length + 20 if t1 is None else _plain_int(t1)
     return _gain_schedule(
         profile, [length] * (n_phases - 1),
         [a_start + a_step * (i - 2) for i in range(2, n_phases + 1)],

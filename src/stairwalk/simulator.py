@@ -10,14 +10,32 @@ sums, which commute.
 
 Chunks run in forked worker processes, at most `threads` of them, capped by
 the usable CPUs and the chunk count; one worker, or a platform without
-fork, runs them in-process.  `multiprocessing` and `concurrent.futures`
-are imported only by a call that has more than one worker, so a one-worker
-run never loads them.  Each call builds its job (a closure over the
-segments, step tables and any user `growth` rule) and hands it to its own
-pool through the pool's initializer, which fork passes on without pickling;
-each task then carries only a chunk's seeds, built in the parent, and
-returns the chunk's small result.  Two chunks per worker are in flight at
-a time, and results come back in chunk order.
+fork, runs them in-process.  `multiprocessing` is imported only by a call
+that has more than one worker, so a one-worker run never loads it.  The
+workers are kept for the life of the process: the first call that needs
+two or more forks them, a later call that needs more forks only the
+missing ones, and each call uses the oldest it needs.  So only the first
+pooled call pays for the forks and for a fresh worker's page faults.
+
+Each worker is fed over its own pipe.  A call sends every worker it uses
+its job once: a module-level function and its arguments (segments, step
+tables), pickled once per call, with the arrays' memory sent as is (pickle
+protocol 5 buffers), so the parent makes no copy of a table.  After that
+it sends only a chunk's seeds, built in the parent, to whichever worker
+answers, and each answer is the chunk's small result.  Two chunks per
+worker are in flight at a time, and results come back in chunk order.  No
+user code is pickled: a growth rule runs in the parent, once per step, and
+its values travel as one float64 array.  A worker reads its next message
+before it answers a chunk, so the parent never waits to send to a worker
+that waits to send.  A chunk that raises, or a worker that dies, discards
+the whole set; the next pooled call forks a new one.  Workers run the code
+they were forked with.
+
+A worker ignores SIGINT and exits at end of file on its pipe.  At exit the
+parent closes every pipe and joins the workers; if the parent dies first,
+its pipe ends close with it.  A process forked later, such as a newer
+worker or `serialize`'s law writer, closes its inherited copies of those
+ends (`os.register_at_fork`), so it cannot keep a worker alive.
 
 A worker first moves every object it inherited into the collector's
 permanent generation (`gc.freeze`).  Otherwise a full collection in the
@@ -36,8 +54,8 @@ row is valid until the next step.
 
 One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
-number of steps at either a constant adaptation value a or under a rule
-a(n) of the absolute step n.  Either way each step reads its laws from a
+number of steps at either a constant adaptation value a or at a rule's
+values a(n), one per step.  Either way each step reads its laws from a
 lookup table indexed by position: a constant segment's table, one per
 distinct a, is built once per call in the parent; a rule segment's is built
 at every step over [0, max s] of the chunk, since a changes but the chunk's
@@ -60,6 +78,10 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
+import os
+import pickle
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -159,11 +181,11 @@ class _UniformFeed:
 
 
 class Segment(NamedTuple):
-    """`length` steps at a constant adaptation value `a`, or under a rule
-    `a(n)` of the absolute step index n (counted from 0)."""
+    """`length` steps at a constant adaptation value `a`, or, when `a` is a
+    float64 array, at a[k] on the segment's step k."""
 
     length: int
-    a: float | Callable[[int], float]
+    a: float | np.ndarray
 
 
 # constant a -> (p_down, 1 - p_up) lookup tables over s in [0, total steps];
@@ -177,10 +199,23 @@ def _step_tables(segments: Sequence[Segment]) -> Tables:
     s_max = sum(seg.length for seg in segments)
     tables = {}
     for seg in segments:
-        if not callable(seg.a) and seg.a not in tables:
+        if not isinstance(seg.a, np.ndarray) and seg.a not in tables:
             p_down, p_up = step_prob_tables(s_max, seg.a)
             tables[seg.a] = (p_down if p_down.any() else None), 1.0 - p_up
     return tables
+
+
+def _rule_values(rule: Callable[[int], float], steps: int) -> np.ndarray:
+    """a(n) for n = 0 .. steps - 1, called once per step in step order; each
+    must be >= 8.  The array is allocated first, so a walk too long for
+    memory fails before the rule runs."""
+    values = np.empty(steps)
+    for n in range(steps):
+        a = rule(n)
+        if not a >= 8:  # also rejects NaN
+            raise ValueError(f"growth rule gave a({n}) = {a}; need a >= 8")
+        values[n] = a
+    return values
 
 
 def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
@@ -192,9 +227,9 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
 
     `tables` comes from `_step_tables(segments)`.  A constant segment whose
     down table is None steps with one gather and one compare; the dropped
-    compare, u < 0.0, is False for every uniform.  A rule segment builds
-    its table at every step, over positions [0, max s], from a step
-    geometry made once per walk; its rule must give a >= 8.  `move`, when
+    compare, u < 0.0, is False for every uniform.  A segment with an array
+    of a values builds its table at every step, over positions [0, max s],
+    from a step geometry made once per walk.  `move`, when
     given, masks every increment.  It is read once per segment, at the
     segment's start, and multiplies the increments only while some entry
     is False, so callers may update it in place between segments (early
@@ -202,22 +237,18 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
     """
     total = sum(seg.length for seg in segments)
     feed = _UniformFeed(seeds, total)
-    if any(callable(seg.a) for seg in segments):
+    if any(isinstance(seg.a, np.ndarray) for seg in segments):
         geometry = step_geometry(np.arange(total + 1, dtype=np.int64))
-    n0 = 0
     for seg in segments:
-        rule = seg.a if callable(seg.a) else None
+        rule = map(float, seg.a) if isinstance(seg.a, np.ndarray) else None
         if rule is None:
             p_down, up_from = tables[seg.a]
         mask = None if move is None or move.all() else move
-        for n in range(n0, n0 + seg.length):
+        for _ in range(seg.length):
             u = feed.next_column()
             if rule is not None:
-                a = rule(n)
-                if not a >= 8:  # also rejects NaN
-                    raise ValueError(f"growth rule gave a({n}) = {a}; need a >= 8")
                 top = int(s.max()) + 1
-                p_down, p_up = flat_step_probs_on([g[:top] for g in geometry], a)
+                p_down, p_up = flat_step_probs_on([g[:top] for g in geometry], next(rule))
                 up_from = np.subtract(1.0, p_up, out=p_up)
             if p_down is None:
                 ds = (u >= up_from[s]).view(np.int8)
@@ -225,7 +256,6 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
                 ds = _inverse_cdf(u, p_down[s], up_from[s])
             s += ds if mask is None else ds * mask
             yield u, ds
-        n0 += seg.length
 
 
 def _advance(steps: Iterator, count: int) -> None:
@@ -265,52 +295,188 @@ def _phase_chunk(seeds, segments, tables, tests, early_stop: bool):
     return outcomes, checkpoints
 
 
-_job: Callable | None = None   # set only in pool workers, by _install_job
+def _phase_successes(seeds, segments, tables, tests, early_stop):
+    """A chunk's successes of phases 1..k in a row, per phase."""
+    outcomes, _ = _phase_chunk(seeds, segments, tables, tests, early_stop)
+    return np.logical_and.accumulate(outcomes).sum(axis=1)
 
 
-def _install_job(fn: Callable) -> None:
-    global _job
+def _phase_checkpoints(seeds, segments, tables, tests):
+    """A chunk's early-stop checkpoints, (replication, phase)."""
+    _, checkpoints = _phase_chunk(seeds, segments, tables, tests, early_stop=True)
+    return np.stack(checkpoints, axis=1)
+
+
+def _final_chunk(seeds, segments, tables):
+    """A chunk's positions after every segment, with no phase events."""
+    s = np.zeros(len(seeds), dtype=np.int64)
+    for _ in _walk(seeds, segments, tables, s):
+        pass
+    return s
+
+
+# The kept workers, oldest first: (process, the parent's end of its pipe).
+# One call at a time uses them.
+_workers: list = []
+_workers_lock = threading.Lock()
+
+
+def _serve(conn) -> None:
+    """A kept worker's loop: per call, a job (function, args) as a pickle
+    and its out-of-band buffers, then chunk seeds until None.  It reads its
+    next message before it answers a chunk, so the parent's send never
+    waits on a worker that waits to send."""
+    import signal
+
     gc.freeze()  # the collector never walks, and so never copies, what fork shared
-    _job = fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    try:
+        while True:
+            header, count = conn.recv()
+            job, args = pickle.loads(header, buffers=[conn.recv_bytes() for _ in range(count)])
+            seeds = conn.recv()
+            while seeds is not None:
+                try:
+                    reply = True, job(seeds, *args)
+                except Exception as exc:
+                    reply = False, exc
+                seeds = conn.recv()
+                conn.send(reply)
+    except (EOFError, OSError):  # the parent closed the pipe, or died
+        pass
 
 
-def _run_job(seeds: list[int]):
-    return _job(seeds)
+def _forget_workers() -> None:
+    """In a forked child: close the inherited ends of the parent's pipes,
+    so that the parent's workers see end of file when the parent goes."""
+    for _, conn in _workers:
+        conn.close()
+    _workers.clear()
 
 
-def _run_chunks(fn: Callable, replications: int, base_seed: int, threads: int | None):
-    """Run fn(seeds) over the fixed chunks of replications; ordered results.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
-    Up to `threads` forked workers (default: every usable CPU), never more
-    than the usable CPUs or the chunks, since a fork pool starts all its
-    workers at once.
+
+def _close_workers(kill: bool = False) -> None:
+    """Close every kept worker's pipe and join it; `kill` first stops one
+    that may be busy with a chunk."""
+    workers = _workers[:]
+    _workers.clear()
+    for proc, conn in workers:
+        conn.close()
+        if kill:
+            proc.terminate()
+    for proc, _ in workers:
+        proc.join()
+
+
+def _kept_workers(count: int) -> list:
+    """The pipes of the first `count` kept workers, forking the missing ones."""
+    import atexit
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    while len(_workers) < count:
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_serve, args=(theirs,), daemon=True,
+                           name=f"stairwalk-worker-{len(_workers)}")
+        _workers.append((proc, ours))  # listed first, so the child closes `ours`
+        try:
+            proc.start()
+        except BaseException:
+            _workers.pop()
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        # registered after multiprocessing's own exit hook, so it runs first
+        atexit.unregister(_close_workers)
+        atexit.register(_close_workers)
+    return [conn for _, conn in _workers[:count]]
+
+
+def _ready(conns: list) -> list:
+    """The connections that have a result to read, waiting for one."""
+    from multiprocessing.connection import wait
+
+    return wait(conns)
+
+
+def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int]]) -> list:
+    """Run job(seeds, *args) for every chunk on the workers behind `conns`;
+    results in chunk order.
+
+    Each worker gets the job once and then chunk seeds, at most two chunks
+    ahead, the next one as soon as it answers one; a None tells it that no
+    more come this call.  A chunk that raises, or any other failure,
+    discards the worker set.
+    """
+    buffers = []   # the arrays' memory, sent as is: the parent copies no table
+    header = pickle.dumps((job, args), 5, buffer_callback=buffers.append)
+    chunks = enumerate(chunks)
+    pending = {conn: deque() for conn in conns}  # chunk indices sent, not answered
+    feeding = set(conns)  # workers not yet sent the None
+    results = {}
+
+    def feed(conn):
+        index, seeds = next(chunks, (None, None))
+        if seeds is None:
+            feeding.discard(conn)
+        else:
+            pending[conn].append(index)
+        conn.send(seeds)
+
+    try:
+        for conn in conns:
+            conn.send((header, len(buffers)))
+            for buffer in buffers:
+                conn.send_bytes(buffer.raw())
+            feed(conn)
+        for conn in conns:
+            feed(conn)
+        while busy := [conn for conn in conns if pending[conn]]:
+            for conn in _ready(busy):
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a Monte Carlo worker exited during a chunk") from None
+                if not ok:
+                    raise value
+                results[pending[conn].popleft()] = value
+                if conn in feeding:
+                    feed(conn)
+    except BaseException:
+        _close_workers(kill=True)
+        raise
+    return [results[index] for index in range(len(results))]
+
+
+def _run_chunks(job: Callable, args: tuple, replications: int, base_seed: int,
+                threads: int | None) -> list:
+    """Run job(seeds, *args) over the fixed chunks of replications; ordered
+    results.  `job` is a module-level function, since a worker receives it
+    pickled by name.
+
+    Up to `threads` kept workers (default: every usable CPU), never more
+    than the usable CPUs or the chunks.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads is not None and not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     cpus = usable_cpus()
     ranges = range(0, replications, _CHUNK)
     workers = min(cpus if threads is None else int(threads), cpus, len(ranges))
     chunks = ([replication_seed(base_seed, r) for r in range(lo, min(lo + _CHUNK, replications))]
               for lo in ranges)
-    if workers <= 1:
-        return [fn(seeds) for seeds in chunks]
-    import multiprocessing
+    if workers > 1:
+        import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(seeds) for seeds in chunks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_job, initargs=(fn,)) as pool:
-        # Enough to keep every worker busy, without holding every chunk's seeds.
-        inflight = deque(pool.submit(_run_job, seeds) for seeds in islice(chunks, 2 * workers))
-        results = []
-        while inflight:
-            results.append(inflight.popleft().result())
-            inflight.extend(pool.submit(_run_job, seeds) for seeds in islice(chunks, 1))
-        return results
+        if "fork" in multiprocessing.get_all_start_methods():
+            with _workers_lock:
+                return _dispatch(_kept_workers(workers), job, args, chunks)
+    return [job(seeds, *args) for seeds in chunks]
 
 
 # ======================================================================
@@ -508,14 +674,10 @@ def run_experiment(
     and the product estimate is the survivor fraction of the whole chain.
     """
     _check_confidence(confidence)
-    segments, tables, tests = _phase_plan(schedule, max_phase)
-
-    def job(seeds):
-        outcomes, _ = _phase_chunk(seeds, segments, tables, tests, early_stop)
-        return np.logical_and.accumulate(outcomes).sum(axis=1)
-
+    plan = _phase_plan(schedule, max_phase)
     # successes of phase i are the attempts of phase i + 1
-    chunks = _run_chunks(job, replications, base_seed, threads)
+    chunks = _run_chunks(_phase_successes, (*plan, early_stop), replications, base_seed,
+                         threads)
     successes = [int(v) for v in np.sum(chunks, axis=0)]
     attempts = [replications] + successes[:-1]
 
@@ -567,13 +729,9 @@ def trajectory_csv_rows(schedule, max_phase: int, base_seed: int, count: int
     header = [("replication", "n", "s")]
     if count == 0:
         return iter(header)
-    segments, tables, tests = _phase_plan(schedule, max_phase)
-
-    def job(seeds):
-        _, checkpoints = _phase_chunk(seeds, segments, tables, tests, early_stop=True)
-        return np.stack(checkpoints, axis=1)   # (replication, phase)
-
-    paths = np.concatenate(_run_chunks(job, count, base_seed, threads=1)).tolist()
+    plan = _phase_plan(schedule, max_phase)
+    paths = np.concatenate(_run_chunks(_phase_checkpoints, plan, count, base_seed,
+                                       threads=1)).tolist()
     ends = [schedule.N(i) for i in range(1, max_phase + 1)]
     return chain(header, ((r, n, s) for r, path in enumerate(paths)
                           for n, s in zip(ends, path)))
@@ -585,14 +743,8 @@ def final_positions(
 ) -> np.ndarray:
     """S_horizon for each replication (no phase events evaluated)."""
     segments = [Segment(steps, float(a)) for steps, a in schedule.segments(horizon)]
-    tables = _step_tables(segments)
-
-    def job(seeds):
-        s = np.zeros(len(seeds), dtype=np.int64)
-        _advance(_walk(seeds, segments, tables, s), horizon)
-        return s
-
-    return np.concatenate(_run_chunks(job, replications, base_seed, threads))
+    return np.concatenate(_run_chunks(_final_chunk, (segments, _step_tables(segments)),
+                                      replications, base_seed, threads))
 
 
 # ======================================================================
@@ -629,6 +781,38 @@ _TAIL_FRACTION = 0.5
 _LOW_THRESHOLD = 4
 
 
+def _default_growth(n: int) -> float:
+    return float(n * n + 8)
+
+
+def _constant_chunk(seeds, segments, tables):
+    """A chunk's final positions, and which replications ever stepped down.
+    A walk with no down table cannot step down, so it is not watched."""
+    s = np.zeros(len(seeds), dtype=np.int64)
+    decreased = np.zeros(len(seeds), dtype=bool)
+    steps = _walk(seeds, segments, tables, s)
+    if all(tables[seg.a][0] is None for seg in segments):
+        _advance(steps, sum(seg.length for seg in segments))
+    else:
+        for _, ds in steps:
+            decreased |= ds < 0
+    return s, decreased
+
+
+def _growth_chunk(seeds, segments, tail_start):
+    """A chunk's final positions, and its occupancy histogram of s over the
+    steps from `tail_start` on."""
+    s = np.zeros(len(seeds), dtype=np.int64)
+    horizon = sum(seg.length for seg in segments)
+    hist = np.zeros(horizon + 1, dtype=np.int64)   # s <= horizon
+    steps = _walk(seeds, segments, {}, s)
+    _advance(steps, tail_start)
+    for _ in steps:
+        counts = np.bincount(s)
+        hist[:counts.size] += counts
+    return s, hist
+
+
 def run_control(
     mode: str,
     horizon: int,
@@ -657,33 +841,15 @@ def run_control(
         if not a >= 8:  # also rejects NaN
             raise ValueError("constant mode needs a >= 8")
         segments = [Segment(horizon, a)]
-        tables = _step_tables(segments)
-
-        def job(seeds):
-            s = np.zeros(len(seeds), dtype=np.int64)
-            decreased = np.zeros(len(seeds), dtype=bool)
-            for _, ds in _walk(seeds, segments, tables, s):
-                decreased |= ds < 0
-            return s, decreased
-
+        job, args = _constant_chunk, (segments, _step_tables(segments))
     elif mode == "fast-growth":
-        rule = growth if growth is not None else (lambda n: float(n * n + 8))
+        values = _rule_values(growth if growth is not None else _default_growth, horizon)
         tail_start = max(0, int(horizon * (1.0 - _TAIL_FRACTION)))
-
-        def job(seeds):
-            s = np.zeros(len(seeds), dtype=np.int64)
-            hist = np.zeros(horizon + 1, dtype=np.int64)   # s <= horizon
-            steps = _walk(seeds, [Segment(horizon, rule)], {}, s)
-            _advance(steps, tail_start)
-            for _ in steps:
-                counts = np.bincount(s)
-                hist[:counts.size] += counts
-            return s, hist
-
+        job, args = _growth_chunk, ([Segment(horizon, values)], tail_start)
     else:
         raise ValueError(f"unknown control mode {mode!r}")
 
-    parts = _run_chunks(job, replications, base_seed, threads)
+    parts = _run_chunks(job, args, replications, base_seed, threads)
     final = np.concatenate([p[0] for p in parts])
     summary = ControlSummary(
         mode=mode,
@@ -735,6 +901,27 @@ class CoupledCheckReport:
         }
 
 
+def _coupling_chunk(seeds, segments, tables, z_cdfs):
+    """A chunk's (pairs checked, violations): phase i's gain against the sum
+    of Z_i draws with P(Z = -1) = c and 1 - P(Z = +1) = b_from, from
+    `z_cdfs[i - 2] = (c, b_from)`."""
+    s = np.zeros(len(seeds), dtype=np.int64)
+    steps = _walk(seeds, segments, tables, s)
+    _advance(steps, segments[0].length)
+    checked = violations = 0
+    for i, (seg, (c, b_from)) in enumerate(zip(segments[1:], z_cdfs), 2):
+        start, phase_min = s.copy(), s.copy()
+        z_sum = np.zeros(len(seeds), dtype=np.int64)
+        for _ in range(seg.length):
+            np.minimum(phase_min, s, out=phase_min)
+            u, _ = next(steps)
+            z_sum += _inverse_cdf(u, c, b_from)
+        valid = phase_min >= 2 * i - 3  # x >= i throughout
+        checked += int(valid.sum())
+        violations += int((s - start < z_sum)[valid].sum())
+    return checked, violations
+
+
 def run_coupled_check(
     schedule, max_phase: int, replications: int, base_seed: int,
     threads: int | None = None,
@@ -746,27 +933,10 @@ def run_coupled_check(
     if max_phase < 2:
         raise ValueError("the coupling check needs max_phase >= 2")
     segments, tables, _ = _phase_plan(schedule, max_phase)
-    z_laws = [z_distribution(i, schedule) for i in range(2, max_phase + 1)]
-
-    def job(seeds):
-        s = np.zeros(len(seeds), dtype=np.int64)
-        steps = _walk(seeds, segments, tables, s)
-        _advance(steps, segments[0].length)
-        checked = violations = 0
-        for i, (seg, z) in enumerate(zip(segments[1:], z_laws), 2):
-            c, b_from = float(z.c), 1.0 - float(z.b)
-            start, phase_min = s.copy(), s.copy()
-            z_sum = np.zeros(len(seeds), dtype=np.int64)
-            for _ in range(seg.length):
-                np.minimum(phase_min, s, out=phase_min)
-                u, _ = next(steps)
-                z_sum += _inverse_cdf(u, c, b_from)
-            valid = phase_min >= 2 * i - 3  # x >= i throughout
-            checked += int(valid.sum())
-            violations += int((s - start < z_sum)[valid].sum())
-        return checked, violations
-
-    results = _run_chunks(job, replications, base_seed, threads)
+    z_cdfs = [(float(z.c), 1.0 - float(z.b))
+              for z in (z_distribution(i, schedule) for i in range(2, max_phase + 1))]
+    results = _run_chunks(_coupling_chunk, (segments, tables, z_cdfs), replications,
+                          base_seed, threads)
     return CoupledCheckReport(
         max_phase=max_phase,
         replications=replications,

@@ -1,9 +1,12 @@
-"""Shared fixtures: the three schedules most tests exercise.
+"""Shared fixtures: the three schedules most tests exercise, and the check
+that no child process outlives a call.
 
-Session-scoped because building the rule-generated schedule scans ~5e5
-gain values and the others run small searches; all are immutable.
+The schedules are session-scoped because building the rule-generated
+schedule scans ~5e5 gain values and the others run small searches; all are
+immutable.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,3 +35,60 @@ def scaled_schedule():
 def cond_schedule():
     """Ten-phase user-designed schedule sized for conditional-success runs."""
     return steady_drift_schedule(10, sigma=0.01)
+
+
+CHILD_DEADLINE_S = 30
+
+
+@pytest.fixture
+def child_deadline():
+    """Fail a test that runs past the deadline, ending every child process
+    first, so that a child which never sees end of file, or a pool that
+    deadlocks, fails the suite instead of hanging it.  `pytest.fail` is no
+    `Exception`, so the CLI cannot report it as an error line."""
+    import multiprocessing
+    import signal
+
+    def expire(signum, frame):
+        simulator = sys.modules.get("stairwalk.simulator")
+        if simulator is not None:
+            simulator._workers.clear()
+        for child in multiprocessing.active_children():
+            child.terminate()
+            child.join()
+        pytest.fail(f"the test ran past {CHILD_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(CHILD_DEADLINE_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _stray_children() -> list:
+    """Live child processes other than the simulator's kept workers."""
+    mp = sys.modules.get("multiprocessing")
+    if mp is None:
+        return []
+    simulator = sys.modules.get("stairwalk.simulator")
+    kept = {proc for proc, _ in simulator._workers} if simulator else set()
+    return [child for child in mp.active_children() if child not in kept]
+
+
+@pytest.fixture
+def no_stray_children():
+    """A check that no child but a kept Monte Carlo worker outlives a call."""
+    def check():
+        assert _stray_children() == []
+    return check
+
+
+@pytest.fixture(scope="session", autouse=True)
+def workers_closed_at_session_end():
+    """After the last test, closing the kept workers leaves no child."""
+    yield
+    simulator = sys.modules.get("stairwalk.simulator")
+    if simulator is not None:
+        simulator._close_workers()
+    mp = sys.modules.get("multiprocessing")
+    assert mp is None or mp.active_children() == []

@@ -4,7 +4,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
 from pathlib import Path
 
 import pytest
@@ -308,54 +307,37 @@ def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
                   str(tmp_path / "p.json"), "--non-strict", "--boundaries-only") == alone
 
 
-_WRITER_DEADLINE_S = 30
-
-
 @pytest.fixture
-def law_writer(monkeypatch):
-    """Route the law CSV through the forked writer, whatever the CPU count.
-
-    A test that runs past the deadline ends every child process and fails,
-    so that a writer which never sees EOF fails the suite instead of hanging
-    it.  `pytest.fail` is no `Exception`, so the CLI cannot report it as an
-    error line."""
+def law_writer(monkeypatch, child_deadline):
+    """Route the law CSV through the forked writer, whatever the CPU count,
+    under the child-process deadline: a writer which never sees EOF fails
+    the suite instead of hanging it."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the law writer needs the fork start method")
     monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
 
-    def expire(signum, frame):
-        for child in multiprocessing.active_children():
-            child.terminate()
-            child.join()
-        pytest.fail(f"the law writer test ran past {_WRITER_DEADLINE_S} s")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(_WRITER_DEADLINE_S)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _one_error_line(capfd) -> str:
+def _one_error_line(capfd, no_stray_children) -> str:
     """The one line on stderr, read at the file descriptor, so that a
     traceback from the forked writer would show; and no process left."""
     lines = capfd.readouterr().err.splitlines()
-    assert multiprocessing.active_children() == []
+    no_stray_children()
     assert len(lines) == 1, lines
     return lines[0]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("horizon", ["10", "1000"])  # fails on close / mid-stream
-def test_dp_write_error_is_one_line(scaled_file, law_writer, capfd, horizon):
+def test_dp_write_error_is_one_line(scaled_file, law_writer, capfd, horizon,
+                                    no_stray_children):
     capfd.readouterr()
     assert main(["dp", "--schedule", scaled_file, "--horizon", horizon,
                  "--out", "/dev/full"]) == 1
-    assert _one_error_line(capfd) == "error: [Errno 28] No space left on device"
+    assert _one_error_line(capfd, no_stray_children) == "error: [Errno 28] No space left on device"
 
 
 def test_dp_bad_out_path_fails_before_the_dp(scaled_file, law_writer, tmp_path,
-                                             monkeypatch, capfd):
+                                             monkeypatch, capfd, no_stray_children):
     built = []
     real = oracle.step_prob_tables
     monkeypatch.setattr(oracle, "step_prob_tables",
@@ -364,11 +346,11 @@ def test_dp_bad_out_path_fails_before_the_dp(scaled_file, law_writer, tmp_path,
     capfd.readouterr()
     assert main(["dp", "--schedule", scaled_file, "--horizon", "900",
                  "--threshold", "150", "--out", str(path)]) == 1
-    assert _one_error_line(capfd) == f"error: [Errno 2] No such file or directory: {str(path)!r}"
+    assert _one_error_line(capfd, no_stray_children) == f"error: [Errno 2] No such file or directory: {str(path)!r}"
     assert built == []
 
 
-def test_law_writer_passes_on_the_laws_error(law_writer, tmp_path, capfd):
+def test_law_writer_passes_on_the_laws_error(law_writer, tmp_path, capfd, no_stray_children):
     def laws():
         yield from oracle.transient_law(1, user_schedule(scaled_profile(), [5], [8.0], [3]))
         raise RuntimeError("after two laws")
@@ -376,7 +358,7 @@ def test_law_writer_passes_on_the_laws_error(law_writer, tmp_path, capfd):
     capfd.readouterr()
     with pytest.raises(RuntimeError, match="after two laws"):
         serialize.dump_law_csv(laws(), tmp_path / "law.csv")
-    assert multiprocessing.active_children() == []
+    no_stray_children()
     assert capfd.readouterr().err == ""
 
 
@@ -444,7 +426,8 @@ def test_control_command(tmp_path, capsys):
     assert "drift" in capsys.readouterr().out
 
 
-def test_walks_too_long_for_memory_are_one_resource_line(scaled_file, tmp_path, capsys):
+def test_walks_too_long_for_memory_are_one_resource_line(scaled_file, tmp_path, capsys,
+                                                         no_stray_children):
     """A walk whose step tables or histogram cannot be allocated ends as one
     `resource budget exceeded:` line and exit 2, with no output file.  A
     10**15-step table is larger than the address space, so it fails at
@@ -473,7 +456,7 @@ def test_walks_too_long_for_memory_are_one_resource_line(scaled_file, tmp_path, 
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("resource budget exceeded:"), argv
         assert list(tmp_path.iterdir()) == [path], argv
-    assert multiprocessing.active_children() == []
+    no_stray_children()
 
 
 def test_reports_are_not_encoded_without_out(user_file, scaled_file, monkeypatch):
@@ -550,9 +533,10 @@ def test_usage_errors(user_file, scaled_file, tmp_path, capsys, monkeypatch):
         assert main(["simulate", "--schedule", str(path), "--phases", "1", "--reps", "10"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
-    # worker counts below one: one error line naming threads
+    # worker counts below one or not integers: one error line naming threads
     simulate = ["simulate", "--schedule", user_file, "--phases", "1", "--reps", "10"]
-    for argv, env in [(["--threads", "0"], None), (["--threads", "-1"], None), ([], "0")]:
+    for argv, env in [(["--threads", "0"], None), (["--threads", "-1"], None), ([], "0"),
+                      ([], "2.5"), ([], "two")]:
         if env is not None:
             monkeypatch.setenv("STAIRWALK_THREADS", env)
         assert main(simulate + argv) == 1

@@ -15,7 +15,7 @@ gain-schedule families, `steady_drift_schedule` and `log_growth_schedule`,
 which reach `domination` but not the numpy kernel.  mpmath is loaded
 only by a caller that passes an mpf, and `multiprocessing` and
 `concurrent.futures` only by a run that may fork, so one-thread Monte Carlo
-loads no pool.  The checks run in a fresh
+loads no pool and forks no worker.  The checks run in a fresh
 interpreter, since the test process has loaded all of these long before.
 """
 
@@ -82,6 +82,7 @@ steps["schedule"] = loaded()
 assert main(["simulate", "--schedule", schedule, "--phases", "2", "--reps", "20",
              "--threads", "1", "--out", out]) == 0
 steps["simulate"] = loaded()
+steps["kept_workers"] = len(sys.modules["stairwalk.simulator"]._workers)
 
 # bounds was imported before mpmath, and still evaluates an mpf in mpmath
 import mpmath
@@ -153,6 +154,7 @@ def test_commands_load_neither_mpmath_nor_a_pool(steps):
     for step in ("commands", "build", "schedule", "simulate"):
         assert _of(steps[step], "mpmath", "concurrent") == [], step
     assert "numpy" in steps["commands"]
+    assert steps["kept_workers"] == 0   # no Monte Carlo worker was forked
 
 
 def test_hoeffding_tail_takes_an_mpf_imported_after_the_package(steps):

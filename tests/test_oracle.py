@@ -198,7 +198,7 @@ def _law_csv_rows(laws, boundaries=None):
 
 
 def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_path,
-                                           monkeypatch):
+                                           monkeypatch, no_stray_children):
     """Both writer paths, the forked writer and the in-process one with a
     single usable CPU, write the bytes of the csv.writer reference."""
     user = user_schedule(scaled_profile(), [5, 7, 9, 40],
@@ -231,7 +231,7 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
                 dump_law_csv(laws, fast, boundaries)
                 assert len(started) == (cpus > 1)  # a writer ran only when forked
                 assert fast.read_bytes() == slow.read_bytes()
-    assert multiprocessing.active_children() == []
+    no_stray_children()
 
 
 def _full_width_laws(horizon, schedule):

@@ -562,3 +562,13 @@ def test_golden_gain_schedules():
     got = {name: hashlib.sha256(s.to_json().encode()).hexdigest()
            for name, s in built.items()}
     assert got == GOLDEN_GAIN_SCHEDULES
+
+
+def test_gain_schedules_take_numpy_integers():
+    # a numpy integer length or t1 gives the JSON bytes of the plain int
+    assert (steady_drift_schedule(3, length=np.int64(1000)).to_json()
+            == steady_drift_schedule(3, length=1000).to_json())
+    assert (steady_drift_schedule(3, t1=np.int64(1100)).to_json()
+            == steady_drift_schedule(3, t1=1100).to_json())
+    assert (log_growth_schedule(5, t1=np.int64(100)).to_json()
+            == log_growth_schedule(5, t1=100).to_json())

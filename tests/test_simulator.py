@@ -1,12 +1,17 @@
 """Monte Carlo engine: determinism, statistics, controls, coupling."""
 
-import concurrent.futures
 import gc
 import hashlib
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import select
+import subprocess
+import sys
+import time
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +34,9 @@ from stairwalk import (
 from stairwalk import simulator
 from stairwalk.kernel import step_prob_tables
 from stairwalk.simulator import _BLOCK, _CHUNK, _TILE, _UniformFeed
+
+# a pool that deadlocks, or a worker that outlives its pipe, fails its test
+pytestmark = pytest.mark.usefixtures("child_deadline")
 
 SEED = 20240817
 POOLED_REPS = 2 * _CHUNK + 5    # three chunks, the last one short
@@ -221,19 +229,14 @@ def _pooled_outputs(reps, threads):
 
 
 @needs_fork
-def test_pool_matches_serial(usable_cpus, monkeypatch):
+def test_pool_matches_serial(usable_cpus, monkeypatch, no_stray_children):
     """Chunk counts that two forked workers cannot split evenly give the
     same bytes as one in-process loop, for every entry point that runs
     chunks, and those bytes are the recorded ones."""
     usable_cpus(2)
     pools = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    kept = simulator._kept_workers
+    monkeypatch.setattr(simulator, "_kept_workers", lambda n: pools.append(n) or kept(n))
     for reps, digest in POOLED_DIGESTS.items():
         pools.clear()
         serial = _pooled_outputs(reps, 1)
@@ -241,12 +244,154 @@ def test_pool_matches_serial(usable_cpus, monkeypatch):
         assert _pooled_outputs(reps, 2) == serial, reps
         assert pools == [2] * 8
         assert hashlib.sha256(serial).hexdigest() == digest, reps
+    no_stray_children()
+
+
+def _worker_pid(seeds):
+    return os.getpid()
+
+
+def _fail_at(seeds, bad_seed):
+    if seeds[0] == bad_seed:
+        raise ValueError("chunk failed")
+    return os.getpid()
+
+
+def _freeze_count(seeds):
+    return gc.get_freeze_count()
+
+
+def _worker_pids(threads, chunks=4):
+    return set(simulator._run_chunks(_worker_pid, (), chunks * _CHUNK, SEED, threads))
+
+
+@needs_fork
+def test_workers_are_kept_across_calls(usable_cpus, no_stray_children):
+    """Calls share one set of workers; a call that needs more forks only the
+    missing ones, and one that needs fewer uses the oldest."""
+    usable_cpus(2)
+    simulator._close_workers()
+    pids = _worker_pids(2)
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert _worker_pids(2) == pids == {proc.pid for proc, _ in simulator._workers}
+    usable_cpus(3)
+    more = _worker_pids(3, chunks=6)
+    assert len(more) == 3 and pids < more
+    assert _worker_pids(2) == pids
+    no_stray_children()
+
+
+@needs_fork
+def test_close_leaves_no_worker(usable_cpus):
+    usable_cpus(2)
+    _worker_pids(2)
+    procs = [proc for proc, _ in simulator._workers]
+    assert len(procs) >= 2
+    simulator._close_workers()
+    assert simulator._workers == []
+    assert not any(proc.is_alive() for proc in procs)
+    assert multiprocessing.active_children() == []
+
+
+def _wait_for_eof(fd, timeout):
+    """True when every copy of the write end of the pipe `fd` reads from is
+    closed within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while (left := deadline - time.monotonic()) > 0:
+        if select.select([fd], [], [], left)[0]:
+            return os.read(fd, 1) == b""
+    return False
+
+
+@needs_fork
+def test_workers_exit_when_the_parent_is_killed():
+    """A parent killed with SIGKILL never closes its workers; they exit on
+    end of file.  Each worker inherits a pipe's write end, so the pipe reads
+    end of file once every worker has exited."""
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from stairwalk import final_positions, scaled_profile, simulator, user_schedule\n"
+        "sch = user_schedule(scaled_profile(), [5], [8.0], [1])\n"
+        "final_positions(sch, 5, 2 * simulator._CHUNK, 1, threads=2)\n"
+        "print(len(simulator._workers), flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    read_end, write_end = os.pipe()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(simulator.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True, env=env,
+                              pass_fds=(write_end,))
+    os.close(write_end)
+    try:
+        assert select.select([parent.stdout], [], [], 20)[0], "no workers within 20 s"
+        assert parent.stdout.readline() == "2\n"
+        parent.kill()
+        parent.wait(timeout=5)
+        assert _wait_for_eof(read_end, timeout=5), "a worker outlived its parent"
+    finally:
+        parent.kill()
+        parent.wait(timeout=5)
+        parent.stdin.close()
+        parent.stdout.close()
+        os.close(read_end)
+
+
+@needs_fork
+def test_forked_law_writer_does_not_keep_the_workers(usable_cpus, monkeypatch, tmp_path):
+    """A process forked after the workers, the law writer here, closes its
+    copies of the parent's pipe ends, so closing them in the parent still
+    ends the workers while that process lives."""
+    from stairwalk import serialize
+    from stairwalk.oracle import transient_law
+
+    usable_cpus(2)
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    _worker_pids(2)
+    workers = list(simulator._workers)
+    exited = []
+
+    def laws():
+        law_iter = transient_law(3, user_schedule(scaled_profile(), [5], [8.0], [3]))
+        yield next(law_iter)   # the writer has started
+        simulator._workers.clear()
+        for _, conn in workers:
+            conn.close()
+        for proc, _ in workers:
+            proc.join(timeout=10)
+            exited.append(not proc.is_alive())
+        yield from law_iter
+
+    serialize.dump_law_csv(laws(), tmp_path / "law.csv")
+    assert exited == [True, True]
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
+def test_failed_chunk_discards_the_workers(usable_cpus, no_stray_children):
+    """A chunk that raises surfaces its error and ends every kept worker;
+    the next call forks new ones and is correct."""
+    usable_cpus(2)
+    pids = _worker_pids(2)
+    procs = [proc for proc, _ in simulator._workers]
+    with pytest.raises(ValueError, match="chunk failed"):
+        simulator._run_chunks(_fail_at, (replication_seed(SEED, 2 * _CHUNK),),
+                              4 * _CHUNK, SEED, 2)
+    assert simulator._workers == []
+    assert not any(proc.is_alive() for proc in procs)
+    sch = user_schedule(scaled_profile(), lengths=[30, 20], a_values=[8.0, 9.0],
+                        thresholds=[12, 21])
+    np.testing.assert_array_equal(final_positions(sch, 45, POOLED_REPS, SEED, threads=2),
+                                  final_positions(sch, 45, POOLED_REPS, SEED, threads=1))
+    assert not pids & {proc.pid for proc, _ in simulator._workers}
+    no_stray_children()
+
+
+@needs_fork
 @pytest.mark.parametrize("threads", [1, 2])
-def test_worker_error_surfaces(threads, usable_cpus):
+def test_worker_error_surfaces(threads, usable_cpus, no_stray_children):
+    """A growth rule's error surfaces, raised in the caller."""
     usable_cpus(2)
 
     def growth(n):
@@ -256,78 +401,109 @@ def test_worker_error_surfaces(threads, usable_cpus):
 
     with pytest.raises(ValueError, match="step 30"):
         run_control("fast-growth", 50, POOLED_REPS, SEED, growth=growth, threads=threads)
-    assert multiprocessing.active_children() == []
+    no_stray_children()
 
 
 @needs_fork
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("bad", [1.0, 7.999, float("nan")])
-def test_growth_rule_below_8_is_rejected(threads, bad, usable_cpus):
-    """A rule's a is checked at every step, in the worker that runs it."""
+def test_growth_rule_below_8_is_rejected(threads, bad, usable_cpus, no_stray_children):
+    """A rule's a is checked at every step, in the caller."""
     usable_cpus(2)
     growth = lambda n: bad if n == 30 else 8.0  # noqa: E731
     with pytest.raises(ValueError, match=r"a\(30\) = .*a >= 8"):
         run_control("fast-growth", 50, POOLED_REPS, SEED, growth=growth, threads=threads)
-    assert multiprocessing.active_children() == []
+    no_stray_children()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_growth_rule_runs_once_per_step_before_any_chunk(threads, usable_cpus, monkeypatch):
+    """The rule is called once per step, in step order, however many chunks
+    run, and a failing call raises before any chunk has run."""
+    usable_cpus(2)
+    calls = []
+    rule = lambda n: calls.append(n) or 8.0 + n / 7  # noqa: E731
+    run_control("fast-growth", 60, POOLED_REPS, SEED, growth=rule, threads=threads)
+    assert calls == list(range(60))
+
+    def fails_last(n):
+        if n == 59:
+            raise ValueError("no a at the last step")
+        return 8.0
+
+    monkeypatch.setattr(simulator, "_run_chunks",
+                        lambda *args: pytest.fail("a chunk ran before the rule's error"))
+    with pytest.raises(ValueError, match="last step"):
+        run_control("fast-growth", 60, POOLED_REPS, SEED, growth=fails_last, threads=threads)
 
 
 @needs_fork
-def test_workers_freeze_what_they_inherit(usable_cpus):
-    """A pool worker's collections skip the objects fork shared with it; the
-    caller's own collector is left as it was."""
+def test_workers_freeze_what_they_inherit(usable_cpus, no_stray_children):
+    """A kept worker's collections skip the objects fork shared with it;
+    the caller's own collector is left as it was."""
     usable_cpus(2)
-    frozen = simulator._run_chunks(lambda seeds: gc.get_freeze_count(), 2 * _CHUNK, SEED, 2)
+    frozen = simulator._run_chunks(_freeze_count, (), 2 * _CHUNK, SEED, 2)
     assert len(frozen) == 2 and min(frozen) > 0
     assert gc.get_freeze_count() == 0
-    assert multiprocessing.active_children() == []
+    no_stray_children()
+
+
+class _InlineWorker:
+    """A kept worker's side of its pipe, run in-process: a chunk runs when
+    its result is read, and only once the next message has been sent, as a
+    worker reads that message before it answers."""
+
+    def __init__(self):
+        self.inbox = deque()
+        self.most = 0   # chunks in flight at once
+
+    def send(self, message):
+        if isinstance(message, tuple):   # a job's pickle and its buffer count
+            self.header, self.buffers = message[0], []
+            return
+        self.inbox.append(message)
+        self.most = max(self.most, sum(m is not None for m in self.inbox))
+
+    def send_bytes(self, buffer):
+        self.buffers.append(bytes(buffer))
+
+    def recv(self):
+        seeds = self.inbox.popleft()
+        assert seeds is not None and self.inbox, "answered before the next message came"
+        if self.inbox[0] is None:   # the end marker, read before this answer
+            self.inbox.popleft()
+        job, args = pickle.loads(self.header, buffers=self.buffers)
+        return True, job(seeds, *args)
 
 
 @needs_fork
 def test_worker_count_is_capped(usable_cpus, monkeypatch):
-    """min(threads, usable CPUs, chunks) workers, no pool for one worker,
-    and at most two chunks per worker in flight.  A stand-in pool runs each
-    chunk in-process when its result is read, so no process starts."""
-    sizes, inflight = [], []
+    """min(threads, usable CPUs, chunks) workers, none for one worker, and
+    at most two chunks in flight per worker.  In-process stand-ins take the
+    workers' place, so no process starts."""
+    sizes, stand_ins = [], []
 
-    class InlinePool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            sizes.append(max_workers)
-            self.unread = 0
-            initializer(*initargs)
+    def kept_workers(count):
+        sizes.append(count)
+        stand_ins[:] = [_InlineWorker() for _ in range(count)]
+        return list(stand_ins)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, seeds):
-            self.unread += 1
-            inflight.append(self.unread)
-            pool = self
-
-            class Pending:
-                def result(self):
-                    pool.unread -= 1
-                    return fn(seeds)
-
-            return Pending()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(simulator, "_job", None)   # the stand-in installs it here
+    monkeypatch.setattr(simulator, "_kept_workers", kept_workers)
+    monkeypatch.setattr(simulator, "_ready", lambda conns: conns)
     sch = user_schedule(scaled_profile(), lengths=[3], a_values=[8.0], thresholds=[1])
     reps = 5 * _CHUNK + 1    # six chunks
     want = final_positions(sch, 3, reps, SEED, threads=1)
-    # (usable CPUs, threads, expected workers)
-    for cpus, threads, workers in [(2, 100_000, 2), (64, None, 6), (64, 3, 3), (64, 1, None),
-                                   (1, 8, None)]:
+    # (usable CPUs, threads, expected workers, most chunks in flight on one)
+    for cpus, threads, workers, most in [(2, 100_000, 2, 2), (64, None, 6, 1), (64, 3, 3, 2),
+                                         (64, 4, 4, 2), (64, 1, None, 0), (1, 8, None, 0)]:
         usable_cpus(cpus)
         sizes.clear()
-        inflight.clear()
+        stand_ins.clear()
         got = final_positions(sch, 3, reps, SEED, threads=threads)
         np.testing.assert_array_equal(got, want)
         assert sizes == ([] if workers is None else [workers]), (cpus, threads)
-        assert max(inflight, default=0) == (0 if workers is None else min(2 * workers, 6))
+        assert max((w.most for w in stand_ins), default=0) == most, (cpus, threads)
+        assert all(not w.inbox for w in stand_ins)   # every message was read
 
 
 def test_step_tables_built_once_per_call(monkeypatch):
@@ -346,12 +522,16 @@ def test_step_tables_built_once_per_call(monkeypatch):
     assert calls == [8.0]
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2.5, float("nan"), "2"])
 def test_threads_must_be_positive(cond_schedule, threads):
+    """Worker counts are integers >= 1, rejected with an error that names
+    them, never truncated; a numpy integer is an integer."""
     with pytest.raises(ValueError, match="threads"):
         run_experiment(cond_schedule, 1, 10, SEED, threads=threads)
     with pytest.raises(ValueError, match="threads"):
         final_positions(cond_schedule, 5, 10, SEED, threads=threads)
+    np.testing.assert_array_equal(final_positions(cond_schedule, 5, 10, SEED, threads=np.int64(2)),
+                                  final_positions(cond_schedule, 5, 10, SEED, threads=1))
 
 
 def test_golden_streams():
