@@ -28,7 +28,8 @@ user code is pickled: a growth rule runs in the parent, once per step, and
 its values travel as one float64 array.  A worker reads its next message
 before it answers a chunk, so the parent never waits to send to a worker
 that waits to send.  A chunk that raises, or a worker that dies, discards
-the whole set; the next pooled call forks a new one.  Workers run the code
+the whole set; the next pooled call forks a new one, as does a call that
+finds a worker dead before it starts.  Workers run the code
 they were forked with.
 
 A worker ignores SIGINT and exits at end of file on its pipe.  At exit the
@@ -372,10 +373,13 @@ def _close_workers(kill: bool = False) -> None:
 
 
 def _kept_workers(count: int) -> list:
-    """The pipes of the first `count` kept workers, forking the missing ones."""
+    """The pipes of the first `count` kept workers, forking the missing ones.
+    A set in which a worker died between calls is replaced whole."""
     import atexit
     import multiprocessing
 
+    if not all(proc.is_alive() for proc, _ in _workers):
+        _close_workers(kill=True)
     ctx = multiprocessing.get_context("fork")
     while len(_workers) < count:
         ours, theirs = ctx.Pipe()

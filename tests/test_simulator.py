@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -384,6 +385,24 @@ def test_failed_chunk_discards_the_workers(usable_cpus, no_stray_children):
                         thresholds=[12, 21])
     np.testing.assert_array_equal(final_positions(sch, 45, POOLED_REPS, SEED, threads=2),
                                   final_positions(sch, 45, POOLED_REPS, SEED, threads=1))
+    assert not pids & {proc.pid for proc, _ in simulator._workers}
+    no_stray_children()
+
+
+@needs_fork
+def test_worker_killed_between_calls_is_replaced(usable_cpus, no_stray_children):
+    """A worker that died while idle, killed from outside, say, does not fail
+    the next call: that call forks a new set and is correct."""
+    usable_cpus(2)
+    pids = _worker_pids(2)
+    proc = simulator._workers[1][0]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(timeout=10)
+    sch = user_schedule(scaled_profile(), lengths=[30, 20], a_values=[8.0, 9.0],
+                        thresholds=[12, 21])
+    np.testing.assert_array_equal(final_positions(sch, 45, POOLED_REPS, SEED, threads=2),
+                                  final_positions(sch, 45, POOLED_REPS, SEED, threads=1))
+    assert len(simulator._workers) == 2
     assert not pids & {proc.pid for proc, _ in simulator._workers}
     no_stray_children()
 
