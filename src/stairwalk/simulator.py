@@ -19,8 +19,7 @@ pooled call pays for the forks and for a fresh worker's page faults.
 
 Each worker is fed over its own pipe.  A call sends every worker it uses
 its job once: a module-level function and its arguments (segments, step
-tables), pickled once per call, with the arrays' memory sent as is (pickle
-protocol 5 buffers), so the parent makes no copy of a table.  After that
+tables), pickled once per worker and call, never per chunk.  After that
 it sends only a chunk's seeds, built in the parent, to whichever worker
 answers, and each answer is the chunk's small result.  Two chunks per
 worker are in flight at a time, and results come back in chunk order.  No
@@ -32,9 +31,11 @@ the whole set; the next pooled call forks a new one, as does a call that
 finds a worker dead before it starts.  Workers run the code
 they were forked with.
 
-A worker ignores SIGINT and exits at end of file on its pipe.  At exit the
-parent closes every pipe and joins the workers; if the parent dies first,
-its pipe ends close with it.  A process forked later, such as a newer
+A worker closes every descriptor it inherited but stdio and its own pipe,
+so it holds no file, socket or pipe of the caller open.  It ignores SIGINT
+and exits at end of file on its pipe.  At exit the parent closes every
+pipe and joins the workers; if the parent dies first, its pipe ends close
+with it.  A process forked later, such as a newer
 worker or `serialize`'s law writer, closes its inherited copies of those
 ends (`os.register_at_fork`), so it cannot keep a worker alive.
 
@@ -81,7 +82,6 @@ import gc
 import math
 import numbers
 import os
-import pickle
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -322,19 +322,29 @@ _workers: list = []
 _workers_lock = threading.Lock()
 
 
-def _serve(conn) -> None:
-    """A kept worker's loop: per call, a job (function, args) as a pickle
-    and its out-of-band buffers, then chunk seeds until None.  It reads its
-    next message before it answers a chunk, so the parent's send never
-    waits on a worker that waits to send."""
+def _serve(conn, inherited) -> None:
+    """A kept worker's loop: per call, a job (function, args), then chunk
+    seeds until None.  It reads its next message before it answers a chunk,
+    so the parent's send never waits on a worker that waits to send.
+
+    `inherited` lists the descriptors the caller had open just before the
+    fork.  The worker closes all of them but stdio and its own pipe, so
+    that it keeps no pipe, socket or file of the caller open for as long as
+    the caller lives: a child process the caller feeds through a pipe sees
+    end of file when the caller closes its end."""
     import signal
 
+    for fd in inherited:
+        if fd > 2 and fd != conn.fileno():
+            try:
+                os.close(fd)
+            except OSError:  # closed already, as the other workers' pipes are
+                pass
     gc.freeze()  # the collector never walks, and so never copies, what fork shared
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
     try:
         while True:
-            header, count = conn.recv()
-            job, args = pickle.loads(header, buffers=[conn.recv_bytes() for _ in range(count)])
+            job, args = conn.recv()
             seeds = conn.recv()
             while seeds is not None:
                 try:
@@ -345,6 +355,17 @@ def _serve(conn) -> None:
                 conn.send(reply)
     except (EOFError, OSError):  # the parent closed the pipe, or died
         pass
+
+
+def _open_fds() -> list[int]:
+    """This process's open file descriptors; empty where they cannot be
+    listed.  The descriptor of the listing itself is among them."""
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        try:
+            return [int(name) for name in os.listdir(listing)]
+        except OSError:
+            continue
+    return []
 
 
 def _forget_workers() -> None:
@@ -382,8 +403,11 @@ def _kept_workers(count: int) -> list:
         _close_workers(kill=True)
     ctx = multiprocessing.get_context("fork")
     while len(_workers) < count:
+        # listed before any descriptor of this worker exists, so the worker
+        # closes none of its own nor of multiprocessing's
+        inherited = _open_fds()
         ours, theirs = ctx.Pipe()
-        proc = ctx.Process(target=_serve, args=(theirs,), daemon=True,
+        proc = ctx.Process(target=_serve, args=(theirs, inherited), daemon=True,
                            name=f"stairwalk-worker-{len(_workers)}")
         _workers.append((proc, ours))  # listed first, so the child closes `ours`
         try:
@@ -416,8 +440,6 @@ def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int
     more come this call.  A chunk that raises, or any other failure,
     discards the worker set.
     """
-    buffers = []   # the arrays' memory, sent as is: the parent copies no table
-    header = pickle.dumps((job, args), 5, buffer_callback=buffers.append)
     chunks = enumerate(chunks)
     pending = {conn: deque() for conn in conns}  # chunk indices sent, not answered
     feeding = set(conns)  # workers not yet sent the None
@@ -433,9 +455,7 @@ def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int
 
     try:
         for conn in conns:
-            conn.send((header, len(buffers)))
-            for buffer in buffers:
-                conn.send_bytes(buffer.raw())
+            conn.send((job, args))
             feed(conn)
         for conn in conns:
             feed(conn)

@@ -307,8 +307,8 @@ def _wait_for_eof(fd, timeout):
 @needs_fork
 def test_workers_exit_when_the_parent_is_killed():
     """A parent killed with SIGKILL never closes its workers; they exit on
-    end of file.  Each worker inherits a pipe's write end, so the pipe reads
-    end of file once every worker has exited."""
+    end of file.  The workers keep the parent's stdout, a pipe here, so it
+    reads end of file once every worker has exited."""
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -318,25 +318,40 @@ def test_workers_exit_when_the_parent_is_killed():
         "print(len(simulator._workers), flush=True)\n"
         "sys.stdin.read()\n"
     )
-    read_end, write_end = os.pipe()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(simulator.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     parent = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE,
-                              stdout=subprocess.PIPE, text=True, env=env,
-                              pass_fds=(write_end,))
-    os.close(write_end)
+                              stdout=subprocess.PIPE, text=True, env=env)
     try:
         assert select.select([parent.stdout], [], [], 20)[0], "no workers within 20 s"
         assert parent.stdout.readline() == "2\n"
         parent.kill()
         parent.wait(timeout=5)
-        assert _wait_for_eof(read_end, timeout=5), "a worker outlived its parent"
+        assert _wait_for_eof(parent.stdout.fileno(), timeout=5), "a worker outlived its parent"
     finally:
         parent.kill()
         parent.wait(timeout=5)
         parent.stdin.close()
         parent.stdout.close()
-        os.close(read_end)
+
+
+@needs_fork
+def test_workers_keep_no_file_of_the_caller(usable_cpus, no_stray_children):
+    """Workers forked while the caller feeds a child through a pipe close
+    their copy of its end, so the child still sees end of file when the
+    caller closes that end."""
+    usable_cpus(2)
+    simulator._close_workers()
+    echo = subprocess.Popen([sys.executable, "-c", "import sys; print(sys.stdin.read())"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        _worker_pids(2)   # forks the workers while the pipe is open
+        assert len(simulator._workers) == 2
+        assert echo.communicate("end of file", timeout=10)[0] == "end of file\n"
+    finally:
+        echo.kill()
+        echo.wait(timeout=5)
+    no_stray_children()
 
 
 @needs_fork
@@ -477,21 +492,18 @@ class _InlineWorker:
         self.most = 0   # chunks in flight at once
 
     def send(self, message):
-        if isinstance(message, tuple):   # a job's pickle and its buffer count
-            self.header, self.buffers = message[0], []
+        if isinstance(message, tuple):   # the call's job, pickled as for a worker
+            self.job = pickle.loads(pickle.dumps(message))
             return
         self.inbox.append(message)
         self.most = max(self.most, sum(m is not None for m in self.inbox))
-
-    def send_bytes(self, buffer):
-        self.buffers.append(bytes(buffer))
 
     def recv(self):
         seeds = self.inbox.popleft()
         assert seeds is not None and self.inbox, "answered before the next message came"
         if self.inbox[0] is None:   # the end marker, read before this answer
             self.inbox.popleft()
-        job, args = pickle.loads(self.header, buffers=self.buffers)
+        job, args = self.job
         return True, job(seeds, *args)
 
 
