@@ -10,8 +10,13 @@ validated against.
 One engine, `_transient`, serves both arithmetics with the same three-term
 update, done in place: two preallocated buffers of horizon + 2 entries
 (float64, or Fractions in object arrays) swap each step, and a third holds
-the products.  The update runs only over the law's support window [0, top + 1],
-where top bounds the nonzero entries.  In float mode (1/2)^n underflows after
+the products.  The update runs only over a window [0, top + block] of the
+buffers, where top bounds the law's nonzero entries at the start of a block
+of steps: one step in exact mode, up to 64 in float mode, whose slice views
+are built once per block.  The support grows by at most one entry per step,
+so within a block it stays inside the window; the entries above it are +0.0
+and add only +0.0.  Where the top falls between blocks, the stale entries
+above the next window are cleared.  In float mode (1/2)^n underflows after
 about 1075 steps, so the top of the law is exactly 0.0 and the window stops
 growing; every entry outside it would have come out exactly +0.0 anyway, so
 the laws are bit for bit those of the full-width update.  The engine walks
@@ -120,6 +125,9 @@ def _step_tables(s_max: int, a, exact: bool) -> tuple[np.ndarray, np.ndarray, np
     return p_down, p_up, 1 - p_down - p_up
 
 
+_BLOCK = 64  # float steps per window
+
+
 def _transient(horizon: int, segments, exact: bool,
                steps: Container[int] | None) -> Iterator[TransientLaw]:
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
@@ -133,25 +141,35 @@ def _transient(horizon: int, segments, exact: bool,
     for count, a in segments:
         # the support grows by at most one entry per step
         p_down, p_up, stay = _step_tables(top + count, Fraction(a) if exact else float(a), exact)
-        for _ in range(count):
-            # stay, then up, then down, as the full-width update adds them;
-            # above top + 1 all three terms are zero
-            w = top + 1
-            np.multiply(cur[:w], stay[:w], out=nxt[:w])
-            nxt[w] = zero
-            np.multiply(cur[:w], p_up[:w], out=prod[:w])
-            np.add(nxt[1:w + 1], prod[:w], out=nxt[1:w + 1])
-            np.multiply(cur[1:w], p_down[1:w], out=prod[:w - 1])
-            np.add(nxt[:w - 1], prod[:w - 1], out=nxt[:w - 1])
+        left = count
+        while left:
+            # one window [0, w] for the whole block: within it the support
+            # stays below w, and the entries above it are +0.0 and add +0.0
+            block = 1 if exact else min(_BLOCK, left)
+            left -= block
+            w = top + block
             nxt[w + 1:stale + 1] = zero
-            stale = top
+            views = [(buf[:w], buf[1:w], buf[1:w + 1], buf[:w - 1]) for buf in (cur, nxt)]
+            s, u, d, pu, pd = stay[:w], p_up[:w], p_down[1:w], prod[:w], prod[:w - 1]
+            for _ in range(block):
+                # stay, then up, then down, as the full-width update adds them
+                (c, c1, _, _), (x, _, x1, xd) = views
+                np.multiply(c, s, out=x)
+                nxt[w] = zero
+                np.multiply(c, u, out=pu)
+                np.add(x1, pu, out=x1)
+                np.multiply(c1, d, out=pd)
+                np.add(xd, pd, out=xd)
+                cur, nxt = nxt, cur
+                views.reverse()
+                n += 1
+                if steps is None or n in steps:
+                    yield _copy_law(n, cur, exact)
+            # after one step nxt is the old cur; after two, it was written too
+            stale = w if block > 1 else top
             top = w
-            while top and nxt[top] == 0:
+            while top and cur[top] == 0:
                 top -= 1
-            cur, nxt = nxt, cur
-            n += 1
-            if steps is None or n in steps:
-                yield _copy_law(n, cur, exact)
         del p_down, p_up, stay  # before the next segment's tables are built
 
 

@@ -12,20 +12,31 @@ numpy scalars and arrays).  No numpy value can exist before numpy is
 imported, so the numpy types are tested for only once it is loaded, and only
 the law writer imports it: writing a schedule loads no numpy.
 
-`dump_law_csv` formats each law in a forked writer process when fork is
+`dump_law_csv` formats float laws in a forked writer process when fork is
 available and more than one CPU is usable, so that the caller goes on
 stepping the DP while the previous law is formatted; otherwise the same
-per-law formatter runs in-process.  `multiprocessing` is imported only when
-more than one CPU is usable, so a one-CPU write never loads it.  The
-protocol:
+per-law formatter runs in-process.  Rational laws are always written
+in-process: the exact DP stops at horizon 64, so they are at most 65 laws of
+at most 65 entries, too few to pay for a fork.  `multiprocessing` is
+imported only when a writer may be forked, so a one-CPU write never loads
+it.  The protocol:
 
 * the caller opens the file and the writer inherits it, so a bad path fails
   before the first law is drawn, and only the writer writes to it;
+* the writer first moves what it inherited to the collector's permanent
+  generation (`gc.freeze`), so that its collections neither walk nor copy
+  the caller's memory;
 * the caller sends (n, float64 masses) of each selected law over a pipe,
-  then an end marker (None), and waits for the one reply, the status: None,
-  or the (errno, strerror) of the first write error, which it raises as an
-  `OSError`.  After a write error the writer drains the pipe to the end
-  marker, so the caller never blocks on a full pipe;
+  then an end marker (None).  The writer answers each law once it is
+  written, and the end marker once the file is closed, with None; or, once,
+  with the (errno, strerror) of its first write error, which the caller
+  raises as an `OSError`.  After a write error the writer drains the pipe
+  to the end marker, so the caller never blocks on a full pipe;
+* while two laws the caller sent are unanswered, the caller formats the
+  next law itself, waits for one answer, and sends the text, which the
+  writer writes as it is, in order.  So the formatting is shared when the
+  writer falls behind, and no more than three messages are ever unanswered:
+  the writer's answers never fill the pipe back;
 * each process closes its copy of the other's end of the pipe.  The writer
   closes the caller's end, so that when the caller stops early (its laws
   raised) and closes its end, the writer reads EOF and exits instead of
@@ -39,6 +50,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
+import itertools
 import signal
 import sys
 from fractions import Fraction
@@ -201,23 +214,56 @@ def _write_laws(fp, items) -> None:
 
 
 def _law_writer(fp, conn, parent_end) -> None:
-    """The forked writer: write the header and each law from `conn` to `fp`
-    until the end marker, then reply with the status."""
+    """The forked writer: write the header, then each law or text from
+    `conn` to `fp` until the end marker.  Answer each law once it is
+    written, and the end marker once the file is closed, with None; answer
+    a write error once, with its (errno, strerror)."""
+    gc.freeze()  # the collector never walks, and so never copies, what fork shared
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_end.close()  # else the parent closing its end is no EOF here
+    laws = iter(conn.recv, None)  # the laws up to the end marker
     try:
-        laws = iter(conn.recv, None)  # the laws up to the end marker
-        status = None
         try:
             with fp:
-                _write_laws(fp, laws)
+                fp.write(_LAW_HEADER)
+                for item in laws:
+                    fp.write(item if isinstance(item, str) else _law_text(*item))
+                    conn.send(None)
         except OSError as exc:  # a write, or the flush on close
-            status = (exc.errno, exc.strerror)
+            conn.send((exc.errno, exc.strerror))
             for _ in laws:  # drain to the end marker, unless it came already
                 pass
-        conn.send(status)
+        else:
+            conn.send(None)
     except (EOFError, OSError):
         pass  # the parent stopped early, and raises its own error
+
+
+def _answer(conn) -> None:
+    """Read one answer of the writer; raise its write error."""
+    status = conn.recv()
+    if status is not None:
+        raise OSError(*status)
+
+
+def _feed_writer(conn, items) -> None:
+    """Send each (n, masses) in `items` to the writer, then the end marker,
+    and read all the writer's answers.  While two laws sent are unanswered,
+    format the next one here and send its text."""
+    unanswered = 0
+    for item in items:
+        while unanswered and conn.poll():
+            _answer(conn)
+            unanswered -= 1
+        if unanswered == 2:  # the writer is behind
+            item = _law_text(*item)
+            _answer(conn)
+            unanswered -= 1
+        conn.send(item)
+        unanswered += 1
+    conn.send(None)
+    for _ in range(unanswered + 1):
+        _answer(conn)
 
 
 def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
@@ -226,29 +272,30 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
     floats.  The bytes are those of `dump_csv` on the same rows, but each
     law's rows are formatted by one `%` over its nonzero entries.
 
-    With fork and more than one usable CPU, a forked writer formats and
-    writes while the caller goes on producing laws (see the module notes)."""
+    For float laws, with fork and more than one usable CPU, a forked writer
+    formats and writes while the caller goes on producing laws (see the
+    module notes)."""
     with open(path, "w", newline="") as fp:
-        if usable_cpus() < 2:
-            return _write_laws(fp, _selected_laws(laws, boundaries))
+        laws = iter(laws)
+        first = next(laws, None)
+        items = _selected_laws(laws if first is None else itertools.chain([first], laws),
+                               boundaries)
+        # exact laws, at most 65 of at most 65 entries, cannot pay for a fork
+        if first is None or isinstance(first.mass, list) or usable_cpus() < 2:
+            return _write_laws(fp, items)
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
-            return _write_laws(fp, _selected_laws(laws, boundaries))
+            return _write_laws(fp, items)
         ctx = multiprocessing.get_context("fork")
         ours, theirs = ctx.Pipe()
         writer = ctx.Process(target=_law_writer, args=(fp, theirs, ours))
         writer.start()
         theirs.close()  # else the writer dying is no EOF here
         try:
-            for item in _selected_laws(laws, boundaries):
-                ours.send(item)
-            ours.send(None)
-            status = ours.recv()
+            _feed_writer(ours, items)
         except EOFError:
             raise OSError("the law writer exited without a status") from None
         finally:
             ours.close()
             writer.join()
-        if status is not None:
-            raise OSError(*status)

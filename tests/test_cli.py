@@ -211,6 +211,7 @@ def test_bound_and_simulate_where_the_power_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.usefixtures("child_deadline")
 def test_dp_command(scaled_file, tmp_path, capsys):
     law_csv = tmp_path / "law.csv"
     out_json = tmp_path / "event.json"
@@ -282,6 +283,7 @@ def test_dp_horizon_past_last_phase(tmp_path, capsys):
     assert not law_csv.exists()
 
 
+@pytest.mark.usefixtures("child_deadline")
 def test_dp_runs_one_pass(scaled_file, tmp_path, monkeypatch):
     """The CSV and the event probability come from one pass over the laws,
     so adding --out builds no further step table."""

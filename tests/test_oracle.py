@@ -2,18 +2,22 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import multiprocessing
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from stairwalk import (
     ResourceBudgetError,
+    oracle,
     event_probability,
     flat_step_distribution,
     law_at,
@@ -171,6 +175,11 @@ def _csv_rows(path):
         return list(csv.reader(fp))
 
 
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the law writer needs the fork start method")
+
+
+@pytest.mark.usefixtures("child_deadline")
 def test_law_csv_rows(scaled_schedule, tmp_path):
     path = tmp_path / "law.csv"
     dump_law_csv(transient_law(5, scaled_schedule), path)
@@ -197,10 +206,12 @@ def _law_csv_rows(laws, boundaries=None):
                 yield (law.n, s, p)
 
 
+@pytest.mark.usefixtures("child_deadline")
 def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_path,
                                            monkeypatch, no_stray_children):
     """Both writer paths, the forked writer and the in-process one with a
-    single usable CPU, write the bytes of the csv.writer reference."""
+    single usable CPU or rational laws, write the bytes of the csv.writer
+    reference."""
     user = user_schedule(scaled_profile(), [5, 7, 9, 40],
                          [8.0, 10.0, Fraction(25, 2), 20.0], [3, 6, 10, 20])
     cases = [
@@ -229,23 +240,114 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
                 monkeypatch.setattr(serialize, "usable_cpus", lambda cpus=cpus: cpus)
                 started.clear()
                 dump_law_csv(laws, fast, boundaries)
-                assert len(started) == (cpus > 1)  # a writer ran only when forked
+                # a writer is forked only for float laws
+                assert len(started) == (cpus > 1 and arithmetic == "float")
                 assert fast.read_bytes() == slow.read_bytes()
     no_stray_children()
 
 
-def _full_width_laws(horizon, schedule):
+def _through_writer(monkeypatch, in_writer=None):
+    """Route float laws through the forked writer, and pass each law's text
+    formatted there through in_writer(text).  Return the list of the n of
+    the laws the caller formatted itself."""
+    caller, real, formatted = os.getpid(), serialize._law_text, []
+
+    def text(n, mass):
+        out = real(n, mass)
+        if os.getpid() != caller:
+            return in_writer(out) if in_writer else out
+        formatted.append(n)
+        return out
+
+    monkeypatch.setattr(serialize, "_law_text", text)
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    return formatted
+
+
+def _slowly(text):
+    time.sleep(0.05)
+    return text
+
+
+def _paced(laws, seconds):
+    for law in laws:
+        time.sleep(seconds)
+        yield law
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+@pytest.mark.parametrize("pace", ["writer-slow", "caller-slow", "free"])
+def test_caller_formats_while_the_writer_is_behind(pace, scaled_schedule, monkeypatch, tmp_path,
+                                                   no_stray_children):
+    """The caller formats a law itself while two it sent are unwritten; the
+    bytes are the reference's whether it formats every law after the first
+    two (a slow writer), none (a slow caller) or some."""
+    horizon, boundaries = 1000, {0, 1, 2, 3, 500, 770, 771, 772, 999, 1000}
+    laws = list(transient_law(horizon, scaled_schedule, steps=boundaries))
+    reference, path = tmp_path / "reference.csv", tmp_path / "law.csv"
+    dump_csv(_law_csv_rows(laws), reference)
+    formatted = _through_writer(monkeypatch, _slowly if pace == "writer-slow" else None)
+    dump_law_csv(_paced(laws, 0.05) if pace == "caller-slow" else laws, path)
+    assert path.read_bytes() == reference.read_bytes()
+    if pace == "writer-slow":
+        assert formatted and set(formatted) <= boundaries - {0, 1}
+    no_stray_children()
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+def test_law_writer_killed_mid_stream_is_an_os_error(scaled_schedule, monkeypatch, tmp_path,
+                                                      no_stray_children):
+    """A writer killed while the caller still sends is an OSError in the
+    caller, not a hang."""
+    _through_writer(monkeypatch, _slowly)
+
+    def laws():
+        for law in transient_law(40, scaled_schedule):
+            if law.n == 3:
+                (writer,) = [child for child in multiprocessing.active_children()
+                             if not child.name.startswith("stairwalk-worker")]
+                writer.kill()
+            yield law
+
+    with pytest.raises(OSError):
+        dump_law_csv(laws(), tmp_path / "law.csv")
+    no_stray_children()
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+def test_law_writer_freezes_what_it_inherits(monkeypatch, tmp_path, no_stray_children):
+    """The forked writer's collections skip the objects fork shared with
+    it; the caller's own collector is left as it was."""
+    _through_writer(monkeypatch, lambda text: f"{gc.get_freeze_count()}\n")
+    path = tmp_path / "law.csv"
+    dump_law_csv(transient_law(0, user_schedule(scaled_profile(), [5], [8.0], [3])), path)
+    (frozen,) = path.read_text().splitlines()[1:]  # the one law, formatted in the writer
+    assert int(frozen) > 0
+    assert gc.get_freeze_count() == 0
+    no_stray_children()
+
+
+def _kernel_tables(s_max, a):
+    p_down, p_up = step_prob_tables(s_max, a)
+    return p_down, p_up, 1 - p_down - p_up
+
+
+def _full_width_laws(horizon, schedule, tables=_kernel_tables):
     """The float DP's three-term update over the whole width n + 1 at every
-    step, with a fresh array per step and tables over [0, horizon]: the
-    reference the windowed, in-place engine must match bit for bit."""
+    step, with a fresh array per step and tables(s_max, a) of (p_down, p_up,
+    stay) over [0, horizon]: the reference the windowed, in-place engine
+    must match bit for bit."""
     mass = np.array([1.0])
     yield mass
     for steps, a in schedule.segments(horizon):
-        p_down, p_up = step_prob_tables(horizon, a)
+        p_down, p_up, stay = tables(horizon, a)
         for _ in range(steps):
             width = len(mass)
             new = np.zeros(width + 1)
-            new[:width] = mass * (1 - p_down[:width] - p_up[:width])
+            new[:width] = mass * stay[:width]
             new[1:] += mass * p_up[:width]
             new[:-2] += (mass * p_down[:width])[1:]
             mass = new
@@ -262,6 +364,52 @@ def test_windowed_dp_matches_full_width(scaled_schedule, paper_schedule):
     # every law of the stream, across the underflow of the law's top
     for law, mass in zip(transient_law(1300, paper_schedule),
                          _full_width_laws(1300, paper_schedule), strict=True):
+        assert law.mass.tobytes() == mass.tobytes()
+    # many segments shorter than a 64-step block, and one longer than two
+    lengths = [1, 2, 3, 5, 63, 64, 65, 7, 11, 300, *[13] * 30, 29, 31, 500]
+    user = user_schedule(scaled_profile(), lengths, np.linspace(8.0, 60.0, len(lengths)),
+                         list(range(1, len(lengths) + 1)))
+    horizon = sum(lengths)  # past the underflow
+    for law, mass in zip(transient_law(horizon, user), _full_width_laws(horizon, user),
+                         strict=True):
+        assert law.mass.tobytes() == mass.tobytes()
+
+
+def test_windowed_dp_clears_what_a_falling_support_leaves(monkeypatch):
+    """Where the support's top falls below the next window at the end of a
+    block, the stale entries above that window are cleared, in both
+    buffers."""
+    def tables(s_max, a, exact=False):
+        low = np.arange(s_max + 1) <= 5
+        if a != 9:  # up or stay, with probability 1/2 each
+            return np.zeros(s_max + 1), np.full(s_max + 1, 0.5), np.full(s_max + 1, 0.5)
+        # above s = 5 the mass moves up by a factor of 1e-200, so it
+        # underflows at the second step
+        return np.zeros(s_max + 1), np.where(low, 0.5, 1e-200), np.where(low, 0.5, 0.0)
+
+    sched = user_schedule(scaled_profile(), [100, 2, 30], [8.0, 9.0, 10.0], [1, 2, 3])
+    reference = list(_full_width_laws(132, sched, tables))
+    assert reference[101][101] > 0 and reference[102][7] > 0 and not reference[102][8:].any()
+    monkeypatch.setattr(oracle, "_step_tables", tables)
+    for law, mass in zip(transient_law(132, sched), reference, strict=True):
+        assert law.mass.tobytes() == mass.tobytes()
+
+
+@seed(20261021)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_windowed_dp_matches_full_width_on_user_schedules(data):
+    """Over random user schedules, segments shorter and longer than a block,
+    every float law is that of the full-width update, bit for bit."""
+    k = data.draw(st.integers(1, 6), label="phases")
+    lengths = data.draw(st.lists(st.integers(1, 300), min_size=k, max_size=k), label="lengths")
+    a_rest = data.draw(st.lists(st.floats(8.0, 1000.0), min_size=k - 1, max_size=k - 1),
+                       label="a")
+    sched = user_schedule(scaled_profile(), lengths, [8.0] + sorted(a_rest),
+                          list(range(1, k + 1)))
+    horizon = data.draw(st.integers(0, sum(lengths)), label="horizon")
+    for law, mass in zip(transient_law(horizon, sched), _full_width_laws(horizon, sched),
+                         strict=True):
         assert law.mass.tobytes() == mass.tobytes()
 
 
@@ -344,6 +492,7 @@ GOLDEN_DP = {
 }
 
 
+@pytest.mark.usefixtures("child_deadline")
 def test_golden_dp(scaled_schedule, tmp_path):
     """Any change to a bit of the DP's laws, CSV rows or event probability
     fails here."""
@@ -386,6 +535,7 @@ GOLDEN_DP_UNDERFLOW = {
 }
 
 
+@pytest.mark.usefixtures("child_deadline")
 def test_golden_dp_past_underflow(paper_schedule, tmp_path):
     """The laws and dp outputs where zero entries sit above the support."""
     law = law_at(3000, paper_schedule)
