@@ -13,13 +13,13 @@ drifts past its tolerance, 2 when a resource budget is exceeded, as when a
 walk is too long for its step tables to fit in memory; that is one
 `resource budget exceeded:` line on stderr.  --threads of `simulate` and
 `control` (env STAIRWALK_THREADS is the fallback) is the number of forked
-worker processes that run Monte Carlo chunks; the simulator keeps them for
-the life of the process, so a one-shot command forks them once.  It must be
+worker processes that run Monte Carlo chunks; they are kept for the life of
+the process (`workers`), so a one-shot command forks them once.  It must be
 an integer >= 1, defaults to every usable CPU, and is capped at the usable
 CPUs and the chunk count.  Results are invariant to the setting.  `dp` has
-no --threads: when fork is available and more than one CPU is usable, it
-writes its law CSV through one forked writer process while it goes on
-stepping the DP, and its outputs do not depend on that.
+no --threads: when fork is available and more than one CPU is usable, the
+oldest kept worker, forked if there is none, writes a float law CSV while
+`dp` goes on stepping the DP, and its outputs do not depend on that.
 
 Importing this module loads only it and `core`, which needs nothing beyond
 the standard library.  Each `cmd_*` handler imports the layers it runs when

@@ -12,47 +12,33 @@ numpy scalars and arrays).  No numpy value can exist before numpy is
 imported, so the numpy types are tested for only once it is loaded, and only
 the law writer imports it: writing a schedule loads no numpy.
 
-`dump_law_csv` formats float laws in a forked writer process when fork is
-available and more than one CPU is usable, so that the caller goes on
-stepping the DP while the previous law is formatted; otherwise the same
-per-law formatter runs in-process.  Rational laws are always written
-in-process: the exact DP stops at horizon 64, so they are at most 65 laws of
-at most 65 entries, too few to pay for a fork.  `multiprocessing` is
-imported only when a writer may be forked, so a one-CPU write never loads
-it.  The protocol:
+`dump_law_csv` writes float laws through `_law_writer`, a job on the oldest
+kept worker (`workers`), when fork is available and more than one CPU is
+usable, so that the caller goes on stepping the DP while the last law is
+formatted; otherwise, and always for rational laws (at most 65 laws of at
+most 65 entries), the same per-law formatter runs in-process.  The job:
 
-* the caller opens the file and the writer inherits it, so a bad path fails
-  before the first law is drawn, and only the writer writes to it;
-* the writer first moves what it inherited to the collector's permanent
-  generation (`gc.freeze`), so that its collections neither walk nor copy
-  the caller's memory;
-* the caller sends (n, float64 masses) of each selected law over a pipe,
-  then an end marker (None).  The writer answers each law once it is
-  written, and the end marker once the file is closed, with None; or, once,
-  with the (errno, strerror) of its first write error, which the caller
-  raises as an `OSError`.  After a write error the writer drains the pipe
-  to the end marker, so the caller never blocks on a full pipe;
+* the caller opens the file, so a bad path fails before the first law is
+  drawn, and sends it with the job; the writer closes it before its last
+  answer;
+* the caller sends (n, float64 masses) of each selected law, then an end
+  marker (None).  The writer answers each law once it is written, and the
+  end marker once the file is closed, with None; or, once, with the
+  (errno, strerror) of its first write error, which the caller raises as
+  an `OSError`, and then drains the pipe to the end marker, so the caller
+  never blocks on a full pipe;
 * while two laws the caller sent are unanswered, the caller formats the
   next law itself, waits for one answer, and sends the text, which the
-  writer writes as it is, in order.  So the formatting is shared when the
-  writer falls behind, and no more than three messages are ever unanswered:
-  the writer's answers never fill the pipe back;
-* each process closes its copy of the other's end of the pipe.  The writer
-  closes the caller's end, so that when the caller stops early (its laws
-  raised) and closes its end, the writer reads EOF and exits instead of
-  waiting forever.  The caller closes the writer's end, so that a writer
-  that dies is EOF, not a hang;
-* the writer ignores SIGINT and prints nothing; the caller always closes its
-  end and joins the writer, so no process outlives the call.
+  writer writes as it is.  So the formatting is shared when the writer
+  falls behind, and at most three messages are ever unanswered: the
+  writer's answers never fill the pipe back.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import gc
 import itertools
-import signal
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -213,30 +199,27 @@ def _write_laws(fp, items) -> None:
         fp.write(_law_text(*item))
 
 
-def _law_writer(fp, conn, parent_end) -> None:
-    """The forked writer: write the header, then each law or text from
-    `conn` to `fp` until the end marker.  Answer each law once it is
-    written, and the end marker once the file is closed, with None; answer
-    a write error once, with its (errno, strerror)."""
-    gc.freeze()  # the collector never walks, and so never copies, what fork shared
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()  # else the parent closing its end is no EOF here
+def _law_writer(conn) -> None:
+    """The law writer, a kept worker's job: take the file sent with the
+    job, write the header, then each law or text from `conn` until the end
+    marker.  Answer each law once it is written, and the end marker once
+    the file is closed, with None; answer a write error once, with its
+    (errno, strerror)."""
+    from multiprocessing.reduction import recv_handle
+
     laws = iter(conn.recv, None)  # the laws up to the end marker
     try:
-        try:
-            with fp:
-                fp.write(_LAW_HEADER)
-                for item in laws:
-                    fp.write(item if isinstance(item, str) else _law_text(*item))
-                    conn.send(None)
-        except OSError as exc:  # a write, or the flush on close
-            conn.send((exc.errno, exc.strerror))
-            for _ in laws:  # drain to the end marker, unless it came already
-                pass
-        else:
-            conn.send(None)
-    except (EOFError, OSError):
-        pass  # the parent stopped early, and raises its own error
+        with open(recv_handle(conn), "w", newline="") as fp:
+            fp.write(_LAW_HEADER)
+            for item in laws:
+                fp.write(item if isinstance(item, str) else _law_text(*item))
+                conn.send(None)
+    except OSError as exc:  # a write, or the flush on close
+        conn.send((exc.errno, exc.strerror))
+        for _ in laws:  # drain to the end marker, unless it came already
+            pass
+    else:
+        conn.send(None)
 
 
 def _answer(conn) -> None:
@@ -272,30 +255,31 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
     floats.  The bytes are those of `dump_csv` on the same rows, but each
     law's rows are formatted by one `%` over its nonzero entries.
 
-    For float laws, with fork and more than one usable CPU, a forked writer
-    formats and writes while the caller goes on producing laws (see the
-    module notes)."""
+    For float laws, with fork and more than one usable CPU, the oldest kept
+    worker formats and writes while the caller goes on producing laws (see
+    the module notes)."""
     with open(path, "w", newline="") as fp:
         laws = iter(laws)
         first = next(laws, None)
         items = _selected_laws(laws if first is None else itertools.chain([first], laws),
                                boundaries)
-        # exact laws, at most 65 of at most 65 entries, cannot pay for a fork
+        # exact laws, at most 65 of at most 65 entries, cannot pay for a writer
         if first is None or isinstance(first.mass, list) or usable_cpus() < 2:
             return _write_laws(fp, items)
-        import multiprocessing
+        from .workers import _close_workers, _forkable, _kept_workers, _workers_lock
 
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if not _forkable():
             return _write_laws(fp, items)
-        ctx = multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        writer = ctx.Process(target=_law_writer, args=(fp, theirs, ours))
-        writer.start()
-        theirs.close()  # else the writer dying is no EOF here
-        try:
-            _feed_writer(ours, items)
-        except EOFError:
-            raise OSError("the law writer exited without a status") from None
-        finally:
-            ours.close()
-            writer.join()
+        from multiprocessing.reduction import send_handle
+
+        with _workers_lock:
+            conn = _kept_workers(1)[0]
+            try:
+                conn.send((_law_writer, ()))
+                send_handle(conn, fp.fileno(), None)
+                _feed_writer(conn, items)
+            except BaseException as exc:  # any failure discards the kept workers
+                _close_workers(kill=True)
+                if isinstance(exc, EOFError):
+                    raise OSError("the law writer exited without a status") from None
+                raise

@@ -8,42 +8,13 @@ independent of batching, execution order, and worker count; replications
 are partitioned into fixed-size chunks and aggregated by exact integer
 sums, which commute.
 
-Chunks run in forked worker processes, at most `threads` of them, capped by
-the usable CPUs and the chunk count; one worker, or a platform without
-fork, runs them in-process.  `multiprocessing` is imported only by a call
-that has more than one worker, so a one-worker run never loads it.  The
-workers are kept for the life of the process: the first call that needs
-two or more forks them, a later call that needs more forks only the
-missing ones, and each call uses the oldest it needs.  So only the first
-pooled call pays for the forks and for a fresh worker's page faults.
-
-Each worker is fed over its own pipe.  A call sends every worker it uses
-its job once: a module-level function and its arguments (segments, step
-tables), pickled once per worker and call, never per chunk.  After that
-it sends only a chunk's seeds, built in the parent, to whichever worker
-answers, and each answer is the chunk's small result.  Two chunks per
-worker are in flight at a time, and results come back in chunk order.  No
-user code is pickled: a growth rule runs in the parent, once per step, and
-its values travel as one float64 array.  A worker reads its next message
-before it answers a chunk, so the parent never waits to send to a worker
-that waits to send.  A chunk that raises, or a worker that dies, discards
-the whole set; the next pooled call forks a new one, as does a call that
-finds a worker dead before it starts.  Workers run the code
-they were forked with.
-
-A worker closes every descriptor it inherited but stdio and its own pipe,
-so it holds no file, socket or pipe of the caller open.  It ignores SIGINT
-and exits at end of file on its pipe.  At exit the parent closes every
-pipe and joins the workers; if the parent dies first, its pipe ends close
-with it.  A process forked later, such as a newer
-worker or `serialize`'s law writer, closes its inherited copies of those
-ends (`os.register_at_fork`), so it cannot keep a worker alive.
-
-A worker first moves every object it inherited into the collector's
-permanent generation (`gc.freeze`).  Otherwise a full collection in the
-worker would walk, and so copy, the parent's whole heap, and how soon one
-comes depends on how many objects the parent happens to hold: with fewer
-modules loaded, such collections cost mc-short-paths about 4 % of its time.
+Chunks run on the kept workers (`workers`), at most `threads` of them,
+capped by the usable CPUs and the chunk count; one worker, or no fork, runs
+them in-process.  A call sends each worker it uses one job, `_serve_chunks`
+with a chunk function and its arguments (segments, step tables), then only
+chunk seeds, two in flight per worker, to whichever answers; results come
+back in chunk order.  A growth rule runs in the parent, once per step, and
+its values travel as one float64 array, so no user code is pickled.
 
 A chunk reads its streams through one Philox bit generator, re-keyed to
 (r, base_seed) with its counter set to the block's first draw, so draw #j
@@ -78,11 +49,8 @@ occupancy.
 
 from __future__ import annotations
 
-import gc
 import math
 import numbers
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -316,112 +284,19 @@ def _final_chunk(seeds, segments, tables):
     return s
 
 
-# The kept workers, oldest first: (process, the parent's end of its pipe).
-# One call at a time uses them.
-_workers: list = []
-_workers_lock = threading.Lock()
-
-
-def _serve(conn, inherited) -> None:
-    """A kept worker's loop: per call, a job (function, args), then chunk
-    seeds until None.  It reads its next message before it answers a chunk,
-    so the parent's send never waits on a worker that waits to send.
-
-    `inherited` lists the descriptors the caller had open just before the
-    fork.  The worker closes all of them but stdio and its own pipe, so
-    that it keeps no pipe, socket or file of the caller open for as long as
-    the caller lives: a child process the caller feeds through a pipe sees
-    end of file when the caller closes its end."""
-    import signal
-
-    for fd in inherited:
-        if fd > 2 and fd != conn.fileno():
-            try:
-                os.close(fd)
-            except OSError:  # closed already, as the other workers' pipes are
-                pass
-    gc.freeze()  # the collector never walks, and so never copies, what fork shared
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
-    try:
-        while True:
-            job, args = conn.recv()
-            seeds = conn.recv()
-            while seeds is not None:
-                try:
-                    reply = True, job(seeds, *args)
-                except Exception as exc:
-                    reply = False, exc
-                seeds = conn.recv()
-                conn.send(reply)
-    except (EOFError, OSError):  # the parent closed the pipe, or died
-        pass
-
-
-def _open_fds() -> list[int]:
-    """This process's open file descriptors; empty where they cannot be
-    listed.  The descriptor of the listing itself is among them."""
-    for listing in ("/proc/self/fd", "/dev/fd"):
+def _serve_chunks(conn, job: Callable, args: tuple) -> None:
+    """A kept worker's Monte Carlo job: answer job(seeds, *args), or the
+    error it raised, for each chunk's seeds sent over `conn`, until None.
+    It reads its next message before it answers a chunk, so the parent's
+    send never waits on a worker that waits to send."""
+    seeds = conn.recv()
+    while seeds is not None:
         try:
-            return [int(name) for name in os.listdir(listing)]
-        except OSError:
-            continue
-    return []
-
-
-def _forget_workers() -> None:
-    """In a forked child: close the inherited ends of the parent's pipes,
-    so that the parent's workers see end of file when the parent goes."""
-    for _, conn in _workers:
-        conn.close()
-    _workers.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _close_workers(kill: bool = False) -> None:
-    """Close every kept worker's pipe and join it; `kill` first stops one
-    that may be busy with a chunk."""
-    workers = _workers[:]
-    _workers.clear()
-    for proc, conn in workers:
-        conn.close()
-        if kill:
-            proc.terminate()
-    for proc, _ in workers:
-        proc.join()
-
-
-def _kept_workers(count: int) -> list:
-    """The pipes of the first `count` kept workers, forking the missing ones.
-    A set in which a worker died between calls is replaced whole."""
-    import atexit
-    import multiprocessing
-
-    if not all(proc.is_alive() for proc, _ in _workers):
-        _close_workers(kill=True)
-    ctx = multiprocessing.get_context("fork")
-    while len(_workers) < count:
-        # listed before any descriptor of this worker exists, so the worker
-        # closes none of its own nor of multiprocessing's
-        inherited = _open_fds()
-        ours, theirs = ctx.Pipe()
-        proc = ctx.Process(target=_serve, args=(theirs, inherited), daemon=True,
-                           name=f"stairwalk-worker-{len(_workers)}")
-        _workers.append((proc, ours))  # listed first, so the child closes `ours`
-        try:
-            proc.start()
-        except BaseException:
-            _workers.pop()
-            ours.close()
-            raise
-        finally:
-            theirs.close()
-        # registered after multiprocessing's own exit hook, so it runs first
-        atexit.unregister(_close_workers)
-        atexit.register(_close_workers)
-    return [conn for _, conn in _workers[:count]]
+            reply = True, job(seeds, *args)
+        except Exception as exc:
+            reply = False, exc
+        seeds = conn.recv()
+        conn.send(reply)
 
 
 def _ready(conns: list) -> list:
@@ -440,6 +315,8 @@ def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int
     more come this call.  A chunk that raises, or any other failure,
     discards the worker set.
     """
+    from .workers import _close_workers
+
     chunks = enumerate(chunks)
     pending = {conn: deque() for conn in conns}  # chunk indices sent, not answered
     feeding = set(conns)  # workers not yet sent the None
@@ -455,7 +332,7 @@ def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int
 
     try:
         for conn in conns:
-            conn.send((job, args))
+            conn.send((_serve_chunks, (job, args)))
             feed(conn)
         for conn in conns:
             feed(conn)
@@ -495,9 +372,9 @@ def _run_chunks(job: Callable, args: tuple, replications: int, base_seed: int,
     chunks = ([replication_seed(base_seed, r) for r in range(lo, min(lo + _CHUNK, replications))]
               for lo in ranges)
     if workers > 1:
-        import multiprocessing
+        from .workers import _forkable, _kept_workers, _workers_lock
 
-        if "fork" in multiprocessing.get_all_start_methods():
+        if _forkable():
             with _workers_lock:
                 return _dispatch(_kept_workers(workers), job, args, chunks)
     return [job(seeds, *args) for seeds in chunks]

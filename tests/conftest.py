@@ -50,9 +50,9 @@ def child_deadline():
     import signal
 
     def expire(signum, frame):
-        simulator = sys.modules.get("stairwalk.simulator")
-        if simulator is not None:
-            simulator._workers.clear()
+        workers = sys.modules.get("stairwalk.workers")
+        if workers is not None:
+            workers._workers.clear()
         for child in multiprocessing.active_children():
             child.terminate()
             child.join()
@@ -66,18 +66,18 @@ def child_deadline():
 
 
 def _stray_children() -> list:
-    """Live child processes other than the simulator's kept workers."""
+    """Live child processes other than the kept workers."""
     mp = sys.modules.get("multiprocessing")
     if mp is None:
         return []
-    simulator = sys.modules.get("stairwalk.simulator")
-    kept = {proc for proc, _ in simulator._workers} if simulator else set()
+    workers = sys.modules.get("stairwalk.workers")
+    kept = {proc for proc, _ in workers._workers} if workers else set()
     return [child for child in mp.active_children() if child not in kept]
 
 
 @pytest.fixture
 def no_stray_children():
-    """A check that no child but a kept Monte Carlo worker outlives a call."""
+    """A check that no child but a kept worker outlives a call."""
     def check():
         assert _stray_children() == []
     return check
@@ -87,8 +87,8 @@ def no_stray_children():
 def workers_closed_at_session_end():
     """After the last test, closing the kept workers leaves no child."""
     yield
-    simulator = sys.modules.get("stairwalk.simulator")
-    if simulator is not None:
-        simulator._close_workers()
+    workers = sys.modules.get("stairwalk.workers")
+    if workers is not None:
+        workers._close_workers()
     mp = sys.modules.get("multiprocessing")
     assert mp is None or mp.active_children() == []

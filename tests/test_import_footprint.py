@@ -40,6 +40,10 @@ import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in %r)
 
+def kept():
+    workers = sys.modules.get("stairwalk.workers")
+    return len(workers._workers) if workers else 0
+
 schedule, profile, out = sys.argv[1:4]
 steps = {}
 import stairwalk, stairwalk.cli
@@ -67,7 +71,9 @@ for argv in (
     ["control", "--mode", "constant", "--horizon", "50", "--reps", "20",
      "--threads", "1"],
 ):
+    before = kept()
     assert main(argv + ["--out", out]) == 0, argv
+    steps["kept_workers_" + argv[0]] = [before, kept()]
 try:
     wilson_interval(5, 10, 1.5)
 except ValueError:
@@ -79,10 +85,11 @@ steps["build"] = loaded()
 assert main(["schedule", "--sigma", "0.5", "--profile", profile, "--out", out]) == 0
 steps["schedule"] = loaded()
 
+before = kept()
 assert main(["simulate", "--schedule", schedule, "--phases", "2", "--reps", "20",
              "--threads", "1", "--out", out]) == 0
 steps["simulate"] = loaded()
-steps["kept_workers"] = len(sys.modules["stairwalk.simulator"]._workers)
+steps["kept_workers_simulate"] = [before, kept()]
 
 # bounds was imported before mpmath, and still evaluates an mpf in mpmath
 import mpmath
@@ -150,11 +157,14 @@ def test_building_and_writing_gain_schedules_loads_no_numpy(steps):
 
 def test_commands_load_neither_mpmath_nor_a_pool(steps):
     # audit, feasibility, dp, bound, and control and simulate at --threads 1;
-    # dp may fork its law writer, which needs multiprocessing but no pool
+    # dp may keep a worker for its law writer, which needs multiprocessing
+    # but no pool
     for step in ("commands", "build", "schedule", "simulate"):
         assert _of(steps[step], "mpmath", "concurrent") == [], step
     assert "numpy" in steps["commands"]
-    assert steps["kept_workers"] == 0   # no Monte Carlo worker was forked
+    for command in ("control", "simulate"):   # neither forked a worker
+        before, after = steps["kept_workers_" + command]
+        assert after == before, command
 
 
 def test_hoeffding_tail_takes_an_mpf_imported_after_the_package(steps):

@@ -25,6 +25,7 @@ from stairwalk import (
     serialize,
     transient_law,
     user_schedule,
+    workers,
 )
 from stairwalk.cli import main
 from stairwalk.kernel import step_prob_tables
@@ -222,14 +223,10 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
         # past step ~1075, zero masses sit above the support
         (paper_schedule, 1500, "float", {0, 1100, 1499, 1500}),
     ]
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def spy(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    requested = []
+    kept = workers._kept_workers
+    monkeypatch.setattr(workers, "_kept_workers",
+                        lambda count: requested.append(count) or kept(count))
     paths = [2, 1] if "fork" in multiprocessing.get_all_start_methods() else [1]
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     for sched, horizon, arithmetic, steps in cases:
@@ -238,30 +235,40 @@ def test_law_csv_writer_matches_csv_writer(scaled_schedule, paper_schedule, tmp_
             dump_csv(_law_csv_rows(laws, boundaries), slow)
             for cpus in paths:
                 monkeypatch.setattr(serialize, "usable_cpus", lambda cpus=cpus: cpus)
-                started.clear()
+                requested.clear()
                 dump_law_csv(laws, fast, boundaries)
-                # a writer is forked only for float laws
-                assert len(started) == (cpus > 1 and arithmetic == "float")
+                # a writer is used only for float laws
+                assert requested == ([1] if cpus > 1 and arithmetic == "float" else [])
                 assert fast.read_bytes() == slow.read_bytes()
     no_stray_children()
 
 
-def _through_writer(monkeypatch, in_writer=None):
-    """Route float laws through the forked writer, and pass each law's text
-    formatted there through in_writer(text).  Return the list of the n of
-    the laws the caller formatted itself."""
-    caller, real, formatted = os.getpid(), serialize._law_text, []
+@pytest.fixture
+def through_writer(monkeypatch):
+    """through_writer(in_writer) routes float laws through the law writer,
+    and passes each law's text formatted there through in_writer(text).  It
+    returns the list of the n of the laws the caller formatted itself.
 
-    def text(n, mass):
-        out = real(n, mass)
-        if os.getpid() != caller:
-            return in_writer(out) if in_writer else out
-        formatted.append(n)
-        return out
+    Workers run the code they were forked with, so the kept set is closed
+    first, for the writer to be forked with the patch, and again after the
+    test, for no later writer to run it."""
+    def route(in_writer=None):
+        caller, real, formatted = os.getpid(), serialize._law_text, []
 
-    monkeypatch.setattr(serialize, "_law_text", text)
-    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
-    return formatted
+        def text(n, mass):
+            out = real(n, mass)
+            if os.getpid() != caller:
+                return in_writer(out) if in_writer else out
+            formatted.append(n)
+            return out
+
+        workers._close_workers()
+        monkeypatch.setattr(serialize, "_law_text", text)
+        monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+        return formatted
+
+    yield route
+    workers._close_workers()
 
 
 def _slowly(text):
@@ -278,7 +285,7 @@ def _paced(laws, seconds):
 @needs_fork
 @pytest.mark.usefixtures("child_deadline")
 @pytest.mark.parametrize("pace", ["writer-slow", "caller-slow", "free"])
-def test_caller_formats_while_the_writer_is_behind(pace, scaled_schedule, monkeypatch, tmp_path,
+def test_caller_formats_while_the_writer_is_behind(pace, scaled_schedule, through_writer, tmp_path,
                                                    no_stray_children):
     """The caller formats a law itself while two it sent are unwritten; the
     bytes are the reference's whether it formats every law after the first
@@ -287,7 +294,7 @@ def test_caller_formats_while_the_writer_is_behind(pace, scaled_schedule, monkey
     laws = list(transient_law(horizon, scaled_schedule, steps=boundaries))
     reference, path = tmp_path / "reference.csv", tmp_path / "law.csv"
     dump_csv(_law_csv_rows(laws), reference)
-    formatted = _through_writer(monkeypatch, _slowly if pace == "writer-slow" else None)
+    formatted = through_writer(_slowly if pace == "writer-slow" else None)
     dump_law_csv(_paced(laws, 0.05) if pace == "caller-slow" else laws, path)
     assert path.read_bytes() == reference.read_bytes()
     if pace == "writer-slow":
@@ -297,18 +304,17 @@ def test_caller_formats_while_the_writer_is_behind(pace, scaled_schedule, monkey
 
 @needs_fork
 @pytest.mark.usefixtures("child_deadline")
-def test_law_writer_killed_mid_stream_is_an_os_error(scaled_schedule, monkeypatch, tmp_path,
+def test_law_writer_killed_mid_stream_is_an_os_error(scaled_schedule, through_writer, tmp_path,
                                                       no_stray_children):
     """A writer killed while the caller still sends is an OSError in the
     caller, not a hang."""
-    _through_writer(monkeypatch, _slowly)
+    through_writer(_slowly)
 
     def laws():
         for law in transient_law(40, scaled_schedule):
             if law.n == 3:
-                (writer,) = [child for child in multiprocessing.active_children()
-                             if not child.name.startswith("stairwalk-worker")]
-                writer.kill()
+                (writer,) = workers._workers   # the kept worker that serves the writer
+                writer[0].kill()
             yield law
 
     with pytest.raises(OSError):
@@ -318,15 +324,81 @@ def test_law_writer_killed_mid_stream_is_an_os_error(scaled_schedule, monkeypatc
 
 @needs_fork
 @pytest.mark.usefixtures("child_deadline")
-def test_law_writer_freezes_what_it_inherits(monkeypatch, tmp_path, no_stray_children):
-    """The forked writer's collections skip the objects fork shared with
-    it; the caller's own collector is left as it was."""
-    _through_writer(monkeypatch, lambda text: f"{gc.get_freeze_count()}\n")
+def test_law_writer_freezes_what_it_inherits(through_writer, tmp_path, no_stray_children):
+    """The writer's collections skip the objects fork shared with it; the
+    caller's own collector is left as it was."""
+    through_writer(lambda text: f"{gc.get_freeze_count()}\n")
     path = tmp_path / "law.csv"
     dump_law_csv(transient_law(0, user_schedule(scaled_profile(), [5], [8.0], [3])), path)
     (frozen,) = path.read_text().splitlines()[1:]  # the one law, formatted in the writer
     assert int(frozen) > 0
     assert gc.get_freeze_count() == 0
+    no_stray_children()
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+def test_one_kept_set_serves_both_users(scaled_schedule, through_writer, monkeypatch, tmp_path,
+                                        no_stray_children):
+    """The law writer runs on the oldest kept worker, before and after a
+    pooled Monte Carlo call on the same set, and neither user moves the
+    other's bytes."""
+    from test_simulator import POOLED_DIGESTS, POOLED_REPS, _pooled_outputs
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    writers = tmp_path / "writers"
+
+    def record(text):
+        with open(writers, "a") as fp:
+            fp.write(f"{os.getpid()}\n")
+        return text
+
+    through_writer(record)
+    laws = list(transient_law(1000, scaled_schedule, steps={0, 1, 500, 770, 771, 1000}))
+    reference, path = tmp_path / "reference.csv", tmp_path / "law.csv"
+    dump_csv(_law_csv_rows(laws), reference)
+    pids = []
+    for step in ("law", "chunks", "law"):
+        if step == "chunks":
+            pooled = _pooled_outputs(POOLED_REPS, 2)
+            assert hashlib.sha256(pooled).hexdigest() == POOLED_DIGESTS[POOLED_REPS]
+            assert len(workers._workers) == 2
+            continue
+        writers.unlink(missing_ok=True)
+        dump_law_csv(laws, path)
+        assert path.read_bytes() == reference.read_bytes()
+        pids.append(set(writers.read_text().split()))
+        assert pids[-1] == {str(workers._workers[0][0].pid)}
+    assert pids[0] == pids[1]
+    no_stray_children()
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+def test_kept_worker_holds_no_file_of_a_finished_call(scaled_schedule, monkeypatch, tmp_path,
+                                                      no_stray_children):
+    """Once a law CSV is written, no kept worker has the file open.  A
+    write error discards the set, and the next call forks a new one that
+    writes the reference bytes."""
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    laws = list(transient_law(1000, scaled_schedule, steps={0, 1, 500, 770, 771, 1000}))
+    reference, path = tmp_path / "reference.csv", tmp_path / "law.csv"
+    dump_csv(_law_csv_rows(laws), reference)
+    dump_law_csv(laws, path)
+    assert path.read_bytes() == reference.read_bytes()
+    pids = {proc.pid for proc, _ in workers._workers}
+    assert pids
+    if os.path.isdir("/proc/self/fd"):
+        for pid in pids:
+            fds = f"/proc/{pid}/fd"
+            assert str(path.resolve()) not in {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
+    if os.path.exists("/dev/full"):
+        with pytest.raises(OSError, match="No space left on device"):
+            dump_law_csv(laws, "/dev/full")
+        assert workers._workers == []
+        dump_law_csv(laws, path)
+        assert path.read_bytes() == reference.read_bytes()
+        assert workers._workers and not pids & {proc.pid for proc, _ in workers._workers}
     no_stray_children()
 
 

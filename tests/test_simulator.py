@@ -32,7 +32,7 @@ from stairwalk import (
     user_schedule,
     wilson_interval,
 )
-from stairwalk import simulator
+from stairwalk import simulator, workers
 from stairwalk.kernel import step_prob_tables
 from stairwalk.simulator import _BLOCK, _CHUNK, _TILE, _UniformFeed
 
@@ -236,8 +236,8 @@ def test_pool_matches_serial(usable_cpus, monkeypatch, no_stray_children):
     chunks, and those bytes are the recorded ones."""
     usable_cpus(2)
     pools = []
-    kept = simulator._kept_workers
-    monkeypatch.setattr(simulator, "_kept_workers", lambda n: pools.append(n) or kept(n))
+    kept = workers._kept_workers
+    monkeypatch.setattr(workers, "_kept_workers", lambda n: pools.append(n) or kept(n))
     for reps, digest in POOLED_DIGESTS.items():
         pools.clear()
         serial = _pooled_outputs(reps, 1)
@@ -271,10 +271,10 @@ def test_workers_are_kept_across_calls(usable_cpus, no_stray_children):
     """Calls share one set of workers; a call that needs more forks only the
     missing ones, and one that needs fewer uses the oldest."""
     usable_cpus(2)
-    simulator._close_workers()
+    workers._close_workers()
     pids = _worker_pids(2)
     assert len(pids) == 2 and os.getpid() not in pids
-    assert _worker_pids(2) == pids == {proc.pid for proc, _ in simulator._workers}
+    assert _worker_pids(2) == pids == {proc.pid for proc, _ in workers._workers}
     usable_cpus(3)
     more = _worker_pids(3, chunks=6)
     assert len(more) == 3 and pids < more
@@ -286,10 +286,10 @@ def test_workers_are_kept_across_calls(usable_cpus, no_stray_children):
 def test_close_leaves_no_worker(usable_cpus):
     usable_cpus(2)
     _worker_pids(2)
-    procs = [proc for proc, _ in simulator._workers]
+    procs = [proc for proc, _ in workers._workers]
     assert len(procs) >= 2
-    simulator._close_workers()
-    assert simulator._workers == []
+    workers._close_workers()
+    assert workers._workers == []
     assert not any(proc.is_alive() for proc in procs)
     assert multiprocessing.active_children() == []
 
@@ -312,10 +312,10 @@ def test_workers_exit_when_the_parent_is_killed():
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "from stairwalk import final_positions, scaled_profile, simulator, user_schedule\n"
+        "from stairwalk import final_positions, scaled_profile, simulator, user_schedule, workers\n"
         "sch = user_schedule(scaled_profile(), [5], [8.0], [1])\n"
         "final_positions(sch, 5, 2 * simulator._CHUNK, 1, threads=2)\n"
-        "print(len(simulator._workers), flush=True)\n"
+        "print(len(workers._workers), flush=True)\n"
         "sys.stdin.read()\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -341,12 +341,12 @@ def test_workers_keep_no_file_of_the_caller(usable_cpus, no_stray_children):
     their copy of its end, so the child still sees end of file when the
     caller closes that end."""
     usable_cpus(2)
-    simulator._close_workers()
+    workers._close_workers()
     echo = subprocess.Popen([sys.executable, "-c", "import sys; print(sys.stdin.read())"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     try:
         _worker_pids(2)   # forks the workers while the pipe is open
-        assert len(simulator._workers) == 2
+        assert len(workers._workers) == 2
         assert echo.communicate("end of file", timeout=10)[0] == "end of file\n"
     finally:
         echo.kill()
@@ -355,31 +355,29 @@ def test_workers_keep_no_file_of_the_caller(usable_cpus, no_stray_children):
 
 
 @needs_fork
-def test_forked_law_writer_does_not_keep_the_workers(usable_cpus, monkeypatch, tmp_path):
-    """A process forked after the workers, the law writer here, closes its
-    copies of the parent's pipe ends, so closing them in the parent still
-    ends the workers while that process lives."""
-    from stairwalk import serialize
-    from stairwalk.oracle import transient_law
-
+def test_forked_law_writer_does_not_keep_the_workers(usable_cpus):
+    """A process forked after the workers, a plain forked child here,
+    closes its copies of the parent's pipe ends, so closing them in the
+    parent still ends the workers while that process lives."""
     usable_cpus(2)
-    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
     _worker_pids(2)
-    workers = list(simulator._workers)
+    kept = list(workers._workers)
+    ctx = multiprocessing.get_context("fork")
+    release = ctx.Event()
+    child = ctx.Process(target=release.wait, args=(20,))
+    child.start()
     exited = []
-
-    def laws():
-        law_iter = transient_law(3, user_schedule(scaled_profile(), [5], [8.0], [3]))
-        yield next(law_iter)   # the writer has started
-        simulator._workers.clear()
-        for _, conn in workers:
+    try:
+        workers._workers.clear()
+        for _, conn in kept:
             conn.close()
-        for proc, _ in workers:
+        for proc, _ in kept:
             proc.join(timeout=10)
             exited.append(not proc.is_alive())
-        yield from law_iter
-
-    serialize.dump_law_csv(laws(), tmp_path / "law.csv")
+        assert child.is_alive()
+    finally:
+        release.set()
+        child.join(timeout=10)
     assert exited == [True, True]
     assert multiprocessing.active_children() == []
 
@@ -390,17 +388,17 @@ def test_failed_chunk_discards_the_workers(usable_cpus, no_stray_children):
     the next call forks new ones and is correct."""
     usable_cpus(2)
     pids = _worker_pids(2)
-    procs = [proc for proc, _ in simulator._workers]
+    procs = [proc for proc, _ in workers._workers]
     with pytest.raises(ValueError, match="chunk failed"):
         simulator._run_chunks(_fail_at, (replication_seed(SEED, 2 * _CHUNK),),
                               4 * _CHUNK, SEED, 2)
-    assert simulator._workers == []
+    assert workers._workers == []
     assert not any(proc.is_alive() for proc in procs)
     sch = user_schedule(scaled_profile(), lengths=[30, 20], a_values=[8.0, 9.0],
                         thresholds=[12, 21])
     np.testing.assert_array_equal(final_positions(sch, 45, POOLED_REPS, SEED, threads=2),
                                   final_positions(sch, 45, POOLED_REPS, SEED, threads=1))
-    assert not pids & {proc.pid for proc, _ in simulator._workers}
+    assert not pids & {proc.pid for proc, _ in workers._workers}
     no_stray_children()
 
 
@@ -410,15 +408,15 @@ def test_worker_killed_between_calls_is_replaced(usable_cpus, no_stray_children)
     the next call: that call forks a new set and is correct."""
     usable_cpus(2)
     pids = _worker_pids(2)
-    proc = simulator._workers[1][0]
+    proc = workers._workers[1][0]
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=10)
     sch = user_schedule(scaled_profile(), lengths=[30, 20], a_values=[8.0, 9.0],
                         thresholds=[12, 21])
     np.testing.assert_array_equal(final_positions(sch, 45, POOLED_REPS, SEED, threads=2),
                                   final_positions(sch, 45, POOLED_REPS, SEED, threads=1))
-    assert len(simulator._workers) == 2
-    assert not pids & {proc.pid for proc, _ in simulator._workers}
+    assert len(workers._workers) == 2
+    assert not pids & {proc.pid for proc, _ in workers._workers}
     no_stray_children()
 
 
@@ -493,7 +491,8 @@ class _InlineWorker:
 
     def send(self, message):
         if isinstance(message, tuple):   # the call's job, pickled as for a worker
-            self.job = pickle.loads(pickle.dumps(message))
+            fn, self.job = pickle.loads(pickle.dumps(message))
+            assert fn is simulator._serve_chunks
             return
         self.inbox.append(message)
         self.most = max(self.most, sum(m is not None for m in self.inbox))
@@ -519,20 +518,20 @@ def test_worker_count_is_capped(usable_cpus, monkeypatch):
         stand_ins[:] = [_InlineWorker() for _ in range(count)]
         return list(stand_ins)
 
-    monkeypatch.setattr(simulator, "_kept_workers", kept_workers)
+    monkeypatch.setattr(workers, "_kept_workers", kept_workers)
     monkeypatch.setattr(simulator, "_ready", lambda conns: conns)
     sch = user_schedule(scaled_profile(), lengths=[3], a_values=[8.0], thresholds=[1])
     reps = 5 * _CHUNK + 1    # six chunks
     want = final_positions(sch, 3, reps, SEED, threads=1)
     # (usable CPUs, threads, expected workers, most chunks in flight on one)
-    for cpus, threads, workers, most in [(2, 100_000, 2, 2), (64, None, 6, 1), (64, 3, 3, 2),
-                                         (64, 4, 4, 2), (64, 1, None, 0), (1, 8, None, 0)]:
+    for cpus, threads, count, most in [(2, 100_000, 2, 2), (64, None, 6, 1), (64, 3, 3, 2),
+                                       (64, 4, 4, 2), (64, 1, None, 0), (1, 8, None, 0)]:
         usable_cpus(cpus)
         sizes.clear()
         stand_ins.clear()
         got = final_positions(sch, 3, reps, SEED, threads=threads)
         np.testing.assert_array_equal(got, want)
-        assert sizes == ([] if workers is None else [workers]), (cpus, threads)
+        assert sizes == ([] if count is None else [count]), (cpus, threads)
         assert max((w.most for w in stand_ins), default=0) == most, (cpus, threads)
         assert all(not w.inbox for w in stand_ins)   # every message was read
 
