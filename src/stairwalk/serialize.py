@@ -266,20 +266,12 @@ def dump_law_csv(laws, path: str | Path, boundaries: set[int] | None = None):
         # exact laws, at most 65 of at most 65 entries, cannot pay for a writer
         if first is None or isinstance(first.mass, list) or usable_cpus() < 2:
             return _write_laws(fp, items)
-        from .workers import _close_workers, _forkable, _kept_workers, _workers_lock
+        from .workers import call
 
-        if not _forkable():
-            return _write_laws(fp, items)
-        from multiprocessing.reduction import send_handle
+        with call(1, _law_writer, ()) as conns:
+            if conns:
+                from multiprocessing.reduction import send_handle
 
-        with _workers_lock:
-            conn = _kept_workers(1)[0]
-            try:
-                conn.send((_law_writer, ()))
-                send_handle(conn, fp.fileno(), None)
-                _feed_writer(conn, items)
-            except BaseException as exc:  # any failure discards the kept workers
-                _close_workers(kill=True)
-                if isinstance(exc, EOFError):
-                    raise OSError("the law writer exited without a status") from None
-                raise
+                send_handle(conns[0], fp.fileno(), None)
+                return _feed_writer(conns[0], items)
+        return _write_laws(fp, items)

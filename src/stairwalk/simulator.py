@@ -11,10 +11,11 @@ sums, which commute.
 Chunks run on the kept workers (`workers`), at most `threads` of them,
 capped by the usable CPUs and the chunk count; one worker, or no fork, runs
 them in-process.  A call sends each worker it uses one job, `_serve_chunks`
-with a chunk function and its arguments (segments, step tables), then only
-chunk seeds, two in flight per worker, to whichever answers; results come
-back in chunk order.  A growth rule runs in the parent, once per step, and
-its values travel as one float64 array, so no user code is pickled.
+with a chunk function and its arguments (segments, which carry their step
+tables), then only chunk seeds, two in flight per worker, to whichever
+answers; results come back in chunk order.  A growth rule runs in the
+parent, once per step, and its values travel as one float64 array, so no
+user code is pickled.
 
 A chunk reads its streams through one Philox bit generator, re-keyed to
 (r, base_seed) with its counter set to the block's first draw, so draw #j
@@ -29,8 +30,8 @@ One step engine, `_walk`, drives every entry point.  It advances a chunk
 of replications, vectorized, through a list of segments.  A segment is a
 number of steps at either a constant adaptation value a or at a rule's
 values a(n), one per step.  Either way each step reads its laws from a
-lookup table indexed by position: a constant segment's table, one per
-distinct a, is built once per call in the parent; a rule segment's is built
+lookup table indexed by position: a constant segment carries its table,
+built in the parent once per call and distinct a; a rule segment's is built
 at every step over [0, max s] of the chunk, since a changes but the chunk's
 positions stay low.  It evaluates the law's expression on the head of the
 step geometry (`kernel.step_geometry`), built once per walk over every
@@ -150,28 +151,30 @@ class _UniformFeed:
 
 
 class Segment(NamedTuple):
-    """`length` steps at a constant adaptation value `a`, or, when `a` is a
-    float64 array, at a[k] on the segment's step k."""
+    """`length` steps at a constant adaptation value `a`, with its lookup
+    tables `p_down` and `up_from` = 1 - p_up over s in [0, total steps];
+    `p_down` is None where it is all 0.0 (a = 8: no step goes down).  Or,
+    when `a` is a float64 array, steps at a[k] on the segment's step k, with
+    no tables."""
 
     length: int
     a: float | np.ndarray
+    p_down: np.ndarray | None = None
+    up_from: np.ndarray | None = None
 
 
-# constant a -> (p_down, 1 - p_up) lookup tables over s in [0, total steps];
-# p_down is None where it is all 0.0 (a = 8: no step goes down)
-Tables = dict[float, tuple[np.ndarray | None, np.ndarray]]
-
-
-def _step_tables(segments: Sequence[Segment]) -> Tables:
-    """The lookup tables of every constant-a segment, one per distinct a,
-    sized for the whole walk (s never exceeds the number of steps)."""
-    s_max = sum(seg.length for seg in segments)
-    tables = {}
-    for seg in segments:
-        if not isinstance(seg.a, np.ndarray) and seg.a not in tables:
-            p_down, p_up = step_prob_tables(s_max, seg.a)
-            tables[seg.a] = (p_down if p_down.any() else None), 1.0 - p_up
-    return tables
+def _segments(pieces) -> list[Segment]:
+    """Constant segments of (steps, a) pieces, their tables built once per
+    distinct a and sized for the whole walk (s never exceeds the number of
+    steps)."""
+    pieces = [(steps, float(a)) for steps, a in pieces]
+    s_max = sum(steps for steps, _ in pieces)
+    built = {}
+    for _, a in pieces:
+        if a not in built:
+            p_down, p_up = step_prob_tables(s_max, a)
+            built[a] = (p_down if p_down.any() else None), 1.0 - p_up
+    return [Segment(steps, a, *built[a]) for steps, a in pieces]
 
 
 def _rule_values(rule: Callable[[int], float], steps: int) -> np.ndarray:
@@ -187,19 +190,17 @@ def _rule_values(rule: Callable[[int], float], steps: int) -> np.ndarray:
     return values
 
 
-def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
-          s: np.ndarray, move: np.ndarray | None = None
-          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _walk(seeds: Sequence[int], segments: Sequence[Segment], s: np.ndarray,
+          move: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance positions `s` in place through `segments`, one step per
     uniform column, yielding each step's (uniforms, unmasked int8
     increments) after `s` has moved.  Both are valid until the next step.
 
-    `tables` comes from `_step_tables(segments)`.  A constant segment whose
-    down table is None steps with one gather and one compare; the dropped
-    compare, u < 0.0, is False for every uniform.  A segment with an array
-    of a values builds its table at every step, over positions [0, max s],
-    from a step geometry made once per walk.  `move`, when
-    given, masks every increment.  It is read once per segment, at the
+    A constant segment whose down table is None steps with one gather and
+    one compare; the dropped compare, u < 0.0, is False for every uniform.
+    A segment with an array of a values builds its table at every step,
+    over positions [0, max s], from a step geometry made once per walk.
+    `move`, when given, masks every increment.  It is read once per segment, at the
     segment's start, and multiplies the increments only while some entry
     is False, so callers may update it in place between segments (early
     stop clears it at the end of a failed phase).
@@ -210,8 +211,7 @@ def _walk(seeds: Sequence[int], segments: Sequence[Segment], tables: Tables,
         geometry = step_geometry(np.arange(total + 1, dtype=np.int64))
     for seg in segments:
         rule = map(float, seg.a) if isinstance(seg.a, np.ndarray) else None
-        if rule is None:
-            p_down, up_from = tables[seg.a]
+        p_down, up_from = seg.p_down, seg.up_from
         mask = None if move is None or move.all() else move
         for _ in range(seg.length):
             u = feed.next_column()
@@ -234,18 +234,17 @@ def _advance(steps: Iterator, count: int) -> None:
 
 
 def _phase_plan(schedule, max_phase: int):
-    """Segments of phases 1..max_phase, their step tables, and each phase's
-    success test (threshold T_i, strict comparison)."""
+    """Segments of phases 1..max_phase and each phase's success test
+    (threshold T_i, strict comparison)."""
     if max_phase < 1:
         raise ValueError("max_phase must be >= 1")
-    segments = [Segment(steps, float(a))
-                for steps, a in schedule.segments(schedule.N(max_phase))]
+    segments = _segments(schedule.segments(schedule.N(max_phase)))
     tests = [(float(schedule.threshold(i)), schedule.strict_threshold(i))
              for i in range(1, max_phase + 1)]
-    return segments, _step_tables(segments), tests
+    return segments, tests
 
 
-def _phase_chunk(seeds, segments, tables, tests, early_stop: bool):
+def _phase_chunk(seeds, segments, tests, early_stop: bool):
     """Per-phase outcomes (phase x replication) and S at every phase end.
 
     Outcome k compares S_{N_k} with T_k; with early_stop a replication
@@ -253,7 +252,7 @@ def _phase_chunk(seeds, segments, tables, tests, early_stop: bool):
     """
     s = np.zeros(len(seeds), dtype=np.int64)
     alive = np.ones(len(seeds), dtype=bool)
-    steps = _walk(seeds, segments, tables, s, alive if early_stop else None)
+    steps = _walk(seeds, segments, s, alive if early_stop else None)
     outcomes = np.zeros((len(segments), len(seeds)), dtype=bool)
     checkpoints = []
     for k, (seg, (t, strict)) in enumerate(zip(segments, tests)):
@@ -264,22 +263,22 @@ def _phase_chunk(seeds, segments, tables, tests, early_stop: bool):
     return outcomes, checkpoints
 
 
-def _phase_successes(seeds, segments, tables, tests, early_stop):
+def _phase_successes(seeds, segments, tests, early_stop):
     """A chunk's successes of phases 1..k in a row, per phase."""
-    outcomes, _ = _phase_chunk(seeds, segments, tables, tests, early_stop)
+    outcomes, _ = _phase_chunk(seeds, segments, tests, early_stop)
     return np.logical_and.accumulate(outcomes).sum(axis=1)
 
 
-def _phase_checkpoints(seeds, segments, tables, tests):
+def _phase_checkpoints(seeds, segments, tests):
     """A chunk's early-stop checkpoints, (replication, phase)."""
-    _, checkpoints = _phase_chunk(seeds, segments, tables, tests, early_stop=True)
+    _, checkpoints = _phase_chunk(seeds, segments, tests, early_stop=True)
     return np.stack(checkpoints, axis=1)
 
 
-def _final_chunk(seeds, segments, tables):
+def _final_chunk(seeds, segments):
     """A chunk's positions after every segment, with no phase events."""
     s = np.zeros(len(seeds), dtype=np.int64)
-    for _ in _walk(seeds, segments, tables, s):
+    for _ in _walk(seeds, segments, s):
         pass
     return s
 
@@ -306,17 +305,14 @@ def _ready(conns: list) -> list:
     return wait(conns)
 
 
-def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int]]) -> list:
-    """Run job(seeds, *args) for every chunk on the workers behind `conns`;
-    results in chunk order.
+def _dispatch(conns: list, chunks: Iterator[list[int]]) -> list:
+    """Run every chunk on the workers behind `conns`, each already sent its
+    `_serve_chunks` job; results in chunk order.
 
-    Each worker gets the job once and then chunk seeds, at most two chunks
-    ahead, the next one as soon as it answers one; a None tells it that no
-    more come this call.  A chunk that raises, or any other failure,
-    discards the worker set.
+    Each worker gets chunk seeds, at most two chunks ahead, the next one as
+    soon as it answers one; a None tells it that no more come this call.  A
+    chunk's error is raised here.
     """
-    from .workers import _close_workers
-
     chunks = enumerate(chunks)
     pending = {conn: deque() for conn in conns}  # chunk indices sent, not answered
     feeding = set(conns)  # workers not yet sent the None
@@ -330,26 +326,16 @@ def _dispatch(conns: list, job: Callable, args: tuple, chunks: Iterator[list[int
             pending[conn].append(index)
         conn.send(seeds)
 
-    try:
-        for conn in conns:
-            conn.send((_serve_chunks, (job, args)))
-            feed(conn)
-        for conn in conns:
-            feed(conn)
-        while busy := [conn for conn in conns if pending[conn]]:
-            for conn in _ready(busy):
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    raise RuntimeError("a Monte Carlo worker exited during a chunk") from None
-                if not ok:
-                    raise value
-                results[pending[conn].popleft()] = value
-                if conn in feeding:
-                    feed(conn)
-    except BaseException:
-        _close_workers(kill=True)
-        raise
+    for conn in conns * 2:
+        feed(conn)
+    while busy := [conn for conn in conns if pending[conn]]:
+        for conn in _ready(busy):
+            ok, value = conn.recv()
+            if not ok:
+                raise value
+            results[pending[conn].popleft()] = value
+            if conn in feeding:
+                feed(conn)
     return [results[index] for index in range(len(results))]
 
 
@@ -372,11 +358,11 @@ def _run_chunks(job: Callable, args: tuple, replications: int, base_seed: int,
     chunks = ([replication_seed(base_seed, r) for r in range(lo, min(lo + _CHUNK, replications))]
               for lo in ranges)
     if workers > 1:
-        from .workers import _forkable, _kept_workers, _workers_lock
+        from .workers import call
 
-        if _forkable():
-            with _workers_lock:
-                return _dispatch(_kept_workers(workers), job, args, chunks)
+        with call(workers, _serve_chunks, (job, args)) as conns:
+            if conns:
+                return _dispatch(conns, chunks)
     return [job(seeds, *args) for seeds in chunks]
 
 
@@ -413,8 +399,8 @@ def run_replication(
     With early_stop (the default) the walk freezes at the end of the first
     failed phase; later checkpoints then record the frozen position.
     """
-    segments, tables, tests = _phase_plan(schedule, max_phase)
-    outcomes, checkpoints = _phase_chunk([seed], segments, tables, tests, early_stop)
+    segments, tests = _phase_plan(schedule, max_phase)
+    outcomes, checkpoints = _phase_chunk([seed], segments, tests, early_stop)
     return Trajectory(
         seed=seed,
         checkpoints=[(schedule.N(i), int(cp[0])) for i, cp in enumerate(checkpoints, 1)],
@@ -643,8 +629,7 @@ def final_positions(
     threads: int | None = None,
 ) -> np.ndarray:
     """S_horizon for each replication (no phase events evaluated)."""
-    segments = [Segment(steps, float(a)) for steps, a in schedule.segments(horizon)]
-    return np.concatenate(_run_chunks(_final_chunk, (segments, _step_tables(segments)),
+    return np.concatenate(_run_chunks(_final_chunk, (_segments(schedule.segments(horizon)),),
                                       replications, base_seed, threads))
 
 
@@ -686,13 +671,13 @@ def _default_growth(n: int) -> float:
     return float(n * n + 8)
 
 
-def _constant_chunk(seeds, segments, tables):
+def _constant_chunk(seeds, segments):
     """A chunk's final positions, and which replications ever stepped down.
     A walk with no down table cannot step down, so it is not watched."""
     s = np.zeros(len(seeds), dtype=np.int64)
     decreased = np.zeros(len(seeds), dtype=bool)
-    steps = _walk(seeds, segments, tables, s)
-    if all(tables[seg.a][0] is None for seg in segments):
+    steps = _walk(seeds, segments, s)
+    if all(seg.p_down is None for seg in segments):
         _advance(steps, sum(seg.length for seg in segments))
     else:
         for _, ds in steps:
@@ -706,7 +691,7 @@ def _growth_chunk(seeds, segments, tail_start):
     s = np.zeros(len(seeds), dtype=np.int64)
     horizon = sum(seg.length for seg in segments)
     hist = np.zeros(horizon + 1, dtype=np.int64)   # s <= horizon
-    steps = _walk(seeds, segments, {}, s)
+    steps = _walk(seeds, segments, s)
     _advance(steps, tail_start)
     for _ in steps:
         counts = np.bincount(s)
@@ -741,8 +726,7 @@ def run_control(
     if mode == "constant":
         if not a >= 8:  # also rejects NaN
             raise ValueError("constant mode needs a >= 8")
-        segments = [Segment(horizon, a)]
-        job, args = _constant_chunk, (segments, _step_tables(segments))
+        job, args = _constant_chunk, (_segments([(horizon, a)]),)
     elif mode == "fast-growth":
         values = _rule_values(growth if growth is not None else _default_growth, horizon)
         tail_start = max(0, int(horizon * (1.0 - _TAIL_FRACTION)))
@@ -802,12 +786,12 @@ class CoupledCheckReport:
         }
 
 
-def _coupling_chunk(seeds, segments, tables, z_cdfs):
+def _coupling_chunk(seeds, segments, z_cdfs):
     """A chunk's (pairs checked, violations): phase i's gain against the sum
     of Z_i draws with P(Z = -1) = c and 1 - P(Z = +1) = b_from, from
     `z_cdfs[i - 2] = (c, b_from)`."""
     s = np.zeros(len(seeds), dtype=np.int64)
-    steps = _walk(seeds, segments, tables, s)
+    steps = _walk(seeds, segments, s)
     _advance(steps, segments[0].length)
     checked = violations = 0
     for i, (seg, (c, b_from)) in enumerate(zip(segments[1:], z_cdfs), 2):
@@ -833,11 +817,11 @@ def run_coupled_check(
     """
     if max_phase < 2:
         raise ValueError("the coupling check needs max_phase >= 2")
-    segments, tables, _ = _phase_plan(schedule, max_phase)
+    segments, _ = _phase_plan(schedule, max_phase)
     z_cdfs = [(float(z.c), 1.0 - float(z.b))
               for z in (z_distribution(i, schedule) for i in range(2, max_phase + 1))]
-    results = _run_chunks(_coupling_chunk, (segments, tables, z_cdfs), replications,
-                          base_seed, threads)
+    results = _run_chunks(_coupling_chunk, (segments, z_cdfs), replications, base_seed,
+                          threads)
     return CoupledCheckReport(
         max_phase=max_phase,
         replications=replications,

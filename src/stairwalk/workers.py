@@ -2,18 +2,22 @@
 
 A process keeps one set of forked workers for its whole life, oldest first.
 `_kept_workers(count)` forks only the missing ones, so only the first call
-that needs a worker pays for a fork and a fresh worker's page faults.  One
-call at a time holds `_workers_lock` and uses the set.  `multiprocessing`
-is loaded only when a worker may be forked.
+that needs a worker pays for a fork and a fresh worker's page faults.
+`multiprocessing` is loaded only when a worker may be forked.
 
-Each worker has its own duplex pipe.  A call sends it a job (fn, args), fn
-a module-level function pickled by name, and the worker runs fn(conn,
-*args), which speaks fn's own protocol until it returns:
+Every use of the set goes through `call(count, fn, args)`, which holds
+`_workers_lock` for the call, so one call at a time uses the set.  It sends
+each of the first `count` workers the job (fn, args), fn a module-level
+function pickled by name, and yields their pipes; the worker runs fn(conn,
+*args), which speaks fn's own protocol with the caller until it returns:
 `simulator._serve_chunks` runs Monte Carlo chunks and
-`serialize._law_writer` writes a law CSV.  Workers run the code they were
-forked with.  A call that fails in any way (a job that raises, a worker
-that dies, an interrupt) discards the whole set, and a call that finds a
-worker dead before it starts replaces the set.
+`serialize._law_writer` writes a law CSV.  Where fork is unavailable it
+yields no pipe, and the caller runs the work in-process.  Workers run the
+code they were forked with.  A call that fails in any way (a job that
+raises, a worker that dies, an interrupt) discards the whole set, and a
+worker's end of file mid-call is raised as one error, `ChildProcessError`
+(an `OSError`).  A call that finds a worker dead before it starts replaces
+the set.
 
 A worker closes every descriptor it inherited but stdio and its own pipe,
 so it holds no pipe, socket or file of the caller: a child that the caller
@@ -31,6 +35,7 @@ close with it.  A process forked later closes its copies of those ends
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import signal
@@ -86,13 +91,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _forkable() -> bool:
-    """Whether this platform can fork a worker."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _close_workers(kill: bool = False) -> None:
     """Close every kept worker's pipe and join it; `kill` first stops one
     that may be busy with a job."""
@@ -135,3 +133,27 @@ def _kept_workers(count: int) -> list:
         atexit.unregister(_close_workers)
         atexit.register(_close_workers)
     return [conn for _, conn in _workers[:count]]
+
+
+@contextlib.contextmanager
+def call(count: int, fn, args: tuple):
+    """Send the job (fn, args) to each of the first `count` kept workers and
+    yield their pipes, holding the set until the call ends; yield [] where
+    fork is unavailable.  Any failure discards the set, and a worker's end
+    of file is raised as `ChildProcessError`."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield []
+        return
+    with _workers_lock:
+        try:
+            conns = _kept_workers(count)
+            for conn in conns:
+                conn.send((fn, args))
+            yield conns
+        except BaseException as exc:
+            _close_workers(kill=True)
+            if isinstance(exc, EOFError):
+                raise ChildProcessError("a kept worker exited during a call") from None
+            raise
