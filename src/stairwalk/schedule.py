@@ -434,6 +434,8 @@ class PhaseSchedule:
                 raise ValueError("paper-literal schedule needs M and M0")
             if self.M < 3:
                 raise ValueError("M must be >= 3 so phase lengths are positive")
+            if self.M0 < 1:
+                raise ValueError("M0, the length of phase 1, must be >= 1")
         elif self.mode == USER_DESIGNED:
             if not (self.lengths and self.a_values and self.thresholds):
                 raise ValueError(
@@ -447,6 +449,8 @@ class PhaseSchedule:
                 raise ValueError("phase 1 must run at a = 8")
             if not all(a >= 8 for a in self.a_values):  # NaN fails too
                 raise ValueError("adaptation values must be >= 8")
+            if not all(-math.inf < t < math.inf for t in self.thresholds):  # NaN fails too
+                raise ValueError("thresholds must be finite")
             rest = self.a_values[1:]
             if any(rest[k + 1] < rest[k] for k in range(len(rest) - 1)):
                 raise ValueError("a_i must be nondecreasing from phase 2 on")
@@ -622,6 +626,8 @@ class PhaseSchedule:
             for k, row in enumerate(_field(doc, "phases", list))
         ]
         phases.sort(key=lambda row: row["i"])
+        if [row["i"] for row in phases] != list(range(1, len(phases) + 1)):
+            raise ValueError("phase indices 'i' must be 1..n, each once")
         return cls(
             mode=USER_DESIGNED,
             lengths=[row["length"] for row in phases],

@@ -474,17 +474,35 @@ def test_reports_are_not_encoded_without_out(user_file, scaled_file, monkeypatch
         assert main(argv) == 0
 
 
-def test_nan_adaptation_values_are_one_error_line(user_file, tmp_path, capsys):
-    doc = json.loads(Path(user_file).read_text())
-    doc["phases"][1]["a"] = float("nan")
-    nan_file = tmp_path / "nan.json"
-    nan_file.write_text(json.dumps(doc))
+def test_nan_adaptation_values_are_one_error_line(user_file, scaled_file, tmp_path, capsys):
+    user = json.loads(Path(user_file).read_text())
+
+    def written(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def with_phase(k, **fields):
+        phases = [dict(row, **fields) if j == k else row for j, row in enumerate(user["phases"])]
+        return dict(user, phases=phases)
+
+    nan_file = written("nan.json", with_phase(1, a=float("nan")))
+    short = written("m0.json", dict(json.loads(Path(scaled_file).read_text()), M0=-5))
+    twice = written("twice.json", with_phase(1, i=1))
+    nan_threshold = written("nan_threshold.json", with_phase(1, threshold=float("nan")))
     control = ["control", "--mode", "constant", "--horizon", "50"]
+    simulate = ["simulate", "--phases", "2", "--reps", "10", "--schedule"]
     cases = [
         (control + ["--a", "nan", "--reps", "5"], "a >= 8"),
         (control + ["--reps", "0"], "replications must be >= 1"),
-        (["dp", "--schedule", str(nan_file), "--horizon", "12", "--threshold", "3"], ">= 8"),
-        (["simulate", "--schedule", str(nan_file), "--phases", "2", "--reps", "10"], ">= 8"),
+        (["dp", "--schedule", nan_file, "--horizon", "12", "--threshold", "3"], ">= 8"),
+        (simulate + [nan_file], ">= 8"),
+        (["feasibility", "--schedule", short, "--i-max", "5"], "M0"),
+        (["audit", "--schedule", short, "--i-max", "5"], "M0"),
+        (simulate + [short], "M0"),
+        (["dp", "--schedule", short, "--horizon", "12", "--threshold", "3"], "M0"),
+        (simulate + [twice], "1..n"),
+        (simulate + [nan_threshold], "thresholds must be finite"),
     ]
     capsys.readouterr()
     for argv, message in cases:

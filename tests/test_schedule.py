@@ -400,6 +400,24 @@ def test_user_schedule_validation():
         user_schedule(prof, [10, 0], [8.0, 9.0], [5, 6])
     with pytest.raises(ValueError, match="defines 2 phases"):
         user_schedule(prof, [10, 10], [8.0, 9.0], [5, 6]).length(3)
+    # a phase 1 of M0 < 1 steps
+    paper = json.loads(build_paper_schedule(0.5, prof).to_json())
+    for m0 in (-5, 0):
+        with pytest.raises(ValueError, match="M0"):
+            PhaseSchedule.from_json(json.dumps(dict(paper, M0=m0)))
+    # phase indices other than exactly 1..n
+    user = json.loads(user_schedule(prof, [10, 10, 10], [8.0, 9.0, 9.0], [5, 6, 7]).to_json())
+    for indices in ([1, 1, 2], [1, 2, 4], [0, 1, 2], [2, 3, 4]):
+        doc = dict(user, phases=[dict(row, i=i) for row, i in zip(user["phases"], indices)])
+        with pytest.raises(ValueError, match="1..n"):
+            PhaseSchedule.from_json(json.dumps(doc))
+    shuffled = dict(user, phases=user["phases"][::-1])
+    assert json.loads(PhaseSchedule.from_json(json.dumps(shuffled)).to_json()) == user
+    # thresholds must be finite; a = inf, the limiting case a_n = +inf, stays
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            user_schedule(prof, [10, 10], [8.0, 9.0], [5, bad])
+    assert user_schedule(prof, [10, 10], [8.0, float("inf")], [5, 6]).a_of_phase(2) == math.inf
 
 
 def test_build_paper_schedule_rejects_bad_sigma():
@@ -432,6 +450,12 @@ def test_feasibility_height_margin_definition(cond_schedule):
     row = report.phase(2)
     expected = float(cond_schedule.threshold(1)) - cond_schedule.length(2) - 2
     assert row.height_margin == expected
+    # phase 2 gains enough, but 2000 steps down from T_1 = 10 end far below 0
+    report = check_schedule_feasibility(
+        user_schedule(scaled_profile(), [30, 2000], [8.0, 8.5], [10, 20]), 2)
+    assert report.first_violation == (2, "worst-case height margin negative")
+    row = report.phase(2)
+    assert row.gain >= row.required_gain and row.height_margin == -1992.0
 
 
 def test_feasibility_report_serialization(cond_schedule):
