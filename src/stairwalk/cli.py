@@ -25,8 +25,8 @@ Importing this module loads only it and `core`, which needs nothing beyond
 the standard library.  Each `cmd_*` handler imports the layers it runs when
 it is called, so `--help`, a usage error and each command load no layer, and
 no library, that they do not use: `bound` never loads the DP or the Monte
-Carlo engine, and no command but `simulate` and `control` (or `--metadata`,
-for the generator's name) loads the simulator.
+Carlo engine, and no command but `simulate` and `control` loads the
+simulator.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
+    GENERATOR_ID,
     PAPER_LITERAL,
     USER_DESIGNED,
     ConstantsProfile,
@@ -87,8 +88,6 @@ def _load_schedule(path: str) -> PhaseSchedule:
 
 def _attach_metadata(doc: dict, args, profile: ConstantsProfile | None) -> dict:
     if getattr(args, "metadata", False):
-        from .simulator import GENERATOR_ID
-
         doc = dict(doc)
         doc["run_metadata"] = {
             "version": __version__,

@@ -17,10 +17,11 @@ stay floats.  Weights are kept unnormalized; only ratios are ever used.
 This module imports only the standard library.  It also holds what every
 layer and the CLI share about the process: `usable_cpus` and
 `ResourceBudgetError`, so that the CLI can catch the budget error, and the
-writers can count CPUs, without loading a numpy layer.  `_check_law`, which
-checks a three-point law's masses, lives here too, so that `domination`
-builds its Z_i law, and the gain schedules their drifts, without loading
-the numpy kernel.
+writers can count CPUs, without loading a numpy layer, and `GENERATOR_ID`,
+the Monte Carlo generator's name, so that `--metadata` loads no simulator.
+`_check_law`, which checks a three-point law's masses, lives here too, so
+that `domination` builds its Z_i law, and the gain schedules their drifts,
+without loading the numpy kernel.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ Number = Union[int, float, Fraction]
 
 PAPER_LITERAL = "paper-literal"
 USER_DESIGNED = "user-designed"
+GENERATOR_ID = "philox4x64(key=[replication, base_seed])"
 
 
 class OffStairError(ValueError):

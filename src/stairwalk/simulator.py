@@ -60,11 +60,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import phase_success_bound, true_mean_phase_bound
-from .core import PAPER_LITERAL, usable_cpus
+from .core import GENERATOR_ID, PAPER_LITERAL, usable_cpus
 from .domination import z_distribution
 from .kernel import _inverse_cdf, flat_step_probs_on, step_geometry, step_prob_tables
-
-GENERATOR_ID = "philox4x64(key=[replication, base_seed])"
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 4096          # replication chunk: determinism & memory unit

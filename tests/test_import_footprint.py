@@ -10,7 +10,8 @@ back to a command, `simulate` included, or to a rule-schedule build.
 The same holds for what a command does not run.  `import stairwalk.cli`
 loads only `cli` and `core`, and no numpy: each handler imports its own
 layers.  Building a rule schedule and writing it as JSON load no numpy
-either, from the library or from `stairwalk schedule`, and nor do the two
+either, from the library or from `stairwalk schedule` with or without
+`--metadata`, and nor do the two
 gain-schedule families, `steady_drift_schedule` and `log_growth_schedule`,
 which reach `domination` but not the numpy kernel.  mpmath is loaded
 only by a caller that passes an mpf, and `multiprocessing` and
@@ -61,6 +62,10 @@ steps["rule_schedules"] = loaded()
 stairwalk.steady_drift_schedule(10, sigma=0.01).to_json()
 stairwalk.log_growth_schedule(50).to_json()
 steps["gain_schedules"] = loaded()
+
+assert main(["schedule", "--sigma", "0.5", "--profile", profile, "--metadata",
+             "--out", out]) == 0
+steps["schedule_metadata"] = loaded()
 
 from stairwalk.simulator import wilson_interval
 for argv in (
@@ -140,6 +145,14 @@ def test_building_and_writing_rule_schedules_loads_no_numpy(steps):
     # the paper and scaled schedules built and written as JSON, and
     # `stairwalk schedule --out`, before any command has loaded numpy
     assert _of(steps["rule_schedules"], "numpy") == []
+
+
+def test_schedule_metadata_loads_neither_numpy_nor_the_simulator(steps):
+    # `stairwalk schedule --metadata` reports the generator's name, which
+    # lives in `core`
+    loaded = steps["schedule_metadata"]
+    assert _of(loaded, "numpy") == []
+    assert "stairwalk.simulator" not in loaded
 
 
 def test_importing_domination_loads_neither_numpy_nor_the_kernel(steps):
