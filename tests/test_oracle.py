@@ -322,6 +322,41 @@ def test_law_writer_killed_mid_stream_is_an_os_error(scaled_schedule, through_wr
     no_stray_children()
 
 
+class _DeadWriter:
+    """A kept worker that dies while it serves the law writer: its pipe
+    takes what is sent and reads end of file."""
+
+    def send(self, message):
+        pass
+
+    def poll(self):
+        return False
+
+    def recv(self):
+        raise EOFError
+
+
+@needs_fork
+@pytest.mark.usefixtures("child_deadline")
+def test_law_writer_end_of_file_is_a_child_process_error(scaled_schedule, monkeypatch,
+                                                         tmp_path, no_stray_children):
+    """A writer's end of file is the error a dead Monte Carlo worker
+    raises, ChildProcessError, and it discards the kept set.  A stand-in
+    that reads end of file takes the writer's place."""
+    import multiprocessing.reduction
+
+    workers._kept_workers(1)   # a kept set for the failed call to discard
+    procs = [proc for proc, _ in workers._workers]
+    monkeypatch.setattr(serialize, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_kept_workers", lambda count: [_DeadWriter()] * count)
+    monkeypatch.setattr(multiprocessing.reduction, "send_handle", lambda *args: None)
+    with pytest.raises(ChildProcessError):
+        dump_law_csv(transient_law(40, scaled_schedule), tmp_path / "law.csv")
+    assert workers._workers == []
+    assert not any(proc.is_alive() for proc in procs)
+    no_stray_children()
+
+
 @needs_fork
 @pytest.mark.usefixtures("child_deadline")
 def test_law_writer_freezes_what_it_inherits(through_writer, tmp_path, no_stray_children):

@@ -33,6 +33,7 @@ from stairwalk import (
     wilson_interval,
 )
 from stairwalk import simulator, workers
+from stairwalk.cli import main
 from stairwalk.kernel import step_prob_tables
 from stairwalk.simulator import _BLOCK, _CHUNK, _TILE, _UniformFeed
 
@@ -355,7 +356,7 @@ def test_workers_keep_no_file_of_the_caller(usable_cpus, no_stray_children):
 
 
 @needs_fork
-def test_forked_law_writer_does_not_keep_the_workers(usable_cpus):
+def test_a_later_fork_does_not_keep_the_workers(usable_cpus):
     """A process forked after the workers, a plain forked child here,
     closes its copies of the parent's pipe ends, so closing them in the
     parent still ends the workers while that process lives."""
@@ -534,6 +535,39 @@ def test_worker_count_is_capped(usable_cpus, monkeypatch):
         assert sizes == ([] if count is None else [count]), (cpus, threads)
         assert max((w.most for w in stand_ins), default=0) == most, (cpus, threads)
         assert all(not w.inbox for w in stand_ins)   # every message was read
+
+
+class _DeadWorker(_InlineWorker):
+    """A kept worker that dies mid-call: its pipe reads end of file."""
+
+    def recv(self):
+        raise EOFError
+
+
+@needs_fork
+def test_worker_end_of_file_mid_call_is_one_os_error(usable_cpus, monkeypatch, capsys,
+                                                     no_stray_children):
+    """A worker's end of file mid-call is a ChildProcessError, an OSError,
+    which discards the kept set; the CLI prints it as one error line.
+    Stand-ins that read end of file take the workers' place."""
+    usable_cpus(2)
+    _worker_pids(2)   # a kept set for the failed call to discard
+    procs = [proc for proc, _ in workers._workers]
+    monkeypatch.setattr(workers, "_kept_workers",
+                        lambda count: [_DeadWorker() for _ in range(count)])
+    monkeypatch.setattr(simulator, "_ready", lambda conns: conns)
+    sch = user_schedule(scaled_profile(), lengths=[3], a_values=[8.0], thresholds=[1])
+    with pytest.raises(OSError) as failure:
+        final_positions(sch, 3, 2 * _CHUNK, SEED, threads=2)
+    assert failure.type is ChildProcessError
+    assert workers._workers == []
+    assert not any(proc.is_alive() for proc in procs)
+    capsys.readouterr()
+    assert main(["control", "--mode", "constant", "--horizon", "5",
+                 "--reps", str(2 * _CHUNK), "--threads", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    no_stray_children()
 
 
 def test_step_tables_built_once_per_call(monkeypatch):

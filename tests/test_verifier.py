@@ -17,9 +17,12 @@ from stairwalk import (
     PhaseSchedule,
     audit_all,
     audit_single,
+    build_paper_schedule,
     check_schedule_feasibility,
     concentration_gain,
     mean_z,
+    paper_profile,
+    scaled_profile,
     steady_drift_schedule,
     verifier,
     z_distribution,
@@ -87,11 +90,19 @@ def test_c6_identity_by_hand(paper_schedule):
         assert paper_schedule.threshold(i - 1) - paper_schedule.length(i) == 2 * i - 2
     res = audit_single("C6", paper_schedule, i_max=500)
     assert res.verdict == "holds"
+    # with overshoot 5 the identity first breaks at phase 3
+    res = audit_single("C6", build_paper_schedule(0.5, scaled_profile(overshoot=5.0)), i_max=20)
+    assert res.verdict == "holds-up-to"
+    assert res.witness == {"i": 3, "T_prev_minus_L": 5.0, "expected": 4}
 
 
 def test_audit_single_custom_ranges(paper_schedule):
     assert audit_single("C7", paper_schedule, x_max=10**4).verdict == "holds"
     assert audit_single("C1", paper_schedule, i_max=10**5).verdict == "holds"
+    # a phase 1 off a = 8 fails at i = 1
+    off = build_paper_schedule(0.5, dataclasses.replace(paper_profile(), phase1_a=9))
+    res = audit_single("C1", off, i_max=20)
+    assert res.verdict == "fails" and res.witness == {"i": 1, "a": {"exact": "9", "float": 9.0}}
     res = audit_single("C5", paper_schedule, i_max=2, x_depth=10**4)
     assert res.verdict == "holds"
     assert res.details["min_c_margin"] >= float(paper_schedule.profile.slack) - 1e-12
